@@ -15,7 +15,7 @@ import random
 
 import numpy as np
 
-from .ir import Conditional, GateOp, Program, validate_op
+from .ir import Conditional, GateOp, Program, pauli_masks, qubit_mask, validate_op
 from .state import SparseState
 
 DENSE_MAX_QUBITS = 20
@@ -67,9 +67,7 @@ class DenseState:
     def _control_sel(self, controls) -> np.ndarray:
         if not controls:
             return np.ones(len(self.vec), dtype=bool)
-        cmask = 0
-        for q in controls:
-            cmask |= 1 << q
+        cmask = qubit_mask(controls)
         return (self._idx & cmask) == cmask
 
     def _parity(self, mask: int) -> np.ndarray:
@@ -106,14 +104,7 @@ class DenseState:
         raise ValueError(f"unsupported gate kind {kind!r}")
 
     def _apply_pexp(self, op: GateOp, sel: np.ndarray) -> None:
-        x_mask = y_mask = z_mask = 0
-        for q, ax in zip(op.targets, op.axes):
-            if ax == "X":
-                x_mask |= 1 << q
-            elif ax == "Y":
-                y_mask |= 1 << q
-            else:
-                z_mask |= 1 << q
+        x_mask, y_mask, z_mask = pauli_masks(op.targets, op.axes)
         theta = op.angle
         c = math.cos(0.5 * theta)
         s = math.sin(0.5 * theta)
@@ -136,15 +127,11 @@ class DenseState:
         self.vec = new
 
     def measure(self, qubits) -> int:
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
-        odd = self._parity(mask)
+        odd = self._parity(qubit_mask(qubits))
         weights = np.abs(self.vec) ** 2
         total = float(weights.sum())
         p_even = float(weights[~odd].sum())
-        u = self.rng.random()
-        outcome = 0 if u < p_even else 1
+        outcome = 0 if self.rng.random() * total < p_even else 1  # same rule as SparseState.measure
         p_branch = p_even if outcome == 0 else total - p_even
         if p_branch <= 0.0:
             raise RuntimeError("measured branch has vanishing probability")

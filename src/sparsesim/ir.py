@@ -20,7 +20,6 @@ KINDS = frozenset(
     {"x", "y", "z", "h", "s", "sdg", "t", "tdg", "r1", "rx", "ry", "rz", "swap", "pexp", "mz"}
 )
 ANGLE_KINDS = frozenset({"r1", "rx", "ry", "rz", "pexp"})
-PAULI_KINDS = frozenset({"x", "y", "z"})
 
 
 class CircuitSyntaxError(ValueError):
@@ -73,12 +72,27 @@ def validate_op(op: GateOp, num_qubits: int) -> None:
             raise ValueError("empty Pauli string")
         if len(op.axes) != len(op.targets):
             raise ValueError("Pauli axis count must match target count")
+        if not set(op.axes) <= {"X", "Y", "Z"}:
+            raise ValueError(f"Pauli axes must be X, Y or Z, got {op.axes}")
     if op.kind in ANGLE_KINDS and op.angle is None:
         raise ValueError(f"{op.kind} requires an angle")
     if not op.targets:
         raise ValueError(f"{op.kind} requires at least one qubit")
     if op.kind in {"x", "y", "z", "h", "s", "sdg", "t", "tdg", "r1", "rx", "ry", "rz"} and len(op.targets) != 1:
         raise ValueError(f"{op.kind} takes exactly one target")
+
+
+def qubit_mask(qubits) -> int:
+    """Label bit mask with bit ``q`` set for each qubit ``q``."""
+    m = 0
+    for q in qubits:
+        m |= 1 << q
+    return m
+
+
+def pauli_masks(qubits, axes) -> tuple[int, int, int]:
+    """(x_mask, y_mask, z_mask) of a Pauli string given one axis per qubit."""
+    return tuple(qubit_mask(q for q, a in zip(qubits, axes) if a == axis) for axis in "XYZ")
 
 
 _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+))?$")

@@ -78,25 +78,6 @@ def bitswap_record(qubit_i: int, qubit_j: int, control_mask: int = 0) -> PhasePe
     return PhasePermRecord(BITSWAP, control_mask, 1 << qubit_i, 1 << qubit_j)
 
 
-def apply_record(rec: PhasePermRecord, b: int) -> tuple[complex, int]:
-    """Phase and permuted label for one record on one label."""
-    if b & rec.control_mask != rec.control_mask:
-        return 1 + 0j, b
-    kind = rec.kind
-    if kind == FLIP:
-        return 1 + 0j, b ^ rec.mask
-    if kind == PHASE:
-        return rec.phase_even, b
-    if kind == ZPARITY:
-        return (rec.phase_odd if (b & rec.mask).bit_count() & 1 else rec.phase_even), b
-    if kind == PAULIY:
-        return (rec.phase_odd if b & rec.mask else rec.phase_even), b ^ rec.mask
-    # BITSWAP
-    if bool(b & rec.mask) != bool(b & rec.mask2):
-        return 1 + 0j, b ^ (rec.mask | rec.mask2)
-    return 1 + 0j, b
-
-
 class PhasePermQueue:
     """Ordered list of phase/permutation records awaiting execution."""
 
@@ -113,14 +94,6 @@ class PhasePermQueue:
 
     def clear(self) -> None:
         self.records = []
-
-    def eval_chain(self, b: int) -> tuple[complex, int]:
-        """Fold all records left to right: phases multiply, labels chain."""
-        phase = 1 + 0j
-        for rec in self.records:
-            f, b = apply_record(rec, b)
-            phase *= f
-        return phase, b
 
 
 def _eval_items(records: list[PhasePermRecord], items: list[tuple[int, complex]]) -> list[tuple[int, complex]]:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import permqueue
-from .ir import GateOp
+from .ir import GateOp, qubit_mask
 from .permqueue import PhasePermRecord
 from .state import h_block, rx_block, ry_block
 
@@ -38,17 +38,10 @@ class QubitSlots:
         return self.ry is None and self.rx is None and self.h == 0
 
 
-def _mask(qubits) -> int:
-    m = 0
-    for q in qubits:
-        m |= 1 << q
-    return m
-
-
 def phase_perm_record(op: GateOp) -> PhasePermRecord | None:
     """The queue record for ``op``, or None if the gate is pairwise."""
     kind = op.kind
-    ctrl = _mask(op.controls)
+    ctrl = qubit_mask(op.controls)
     if kind == "x":
         return permqueue.flip_record(1 << op.targets[0], ctrl)
     if kind == "y":
@@ -74,7 +67,7 @@ def phase_perm_record(op: GateOp) -> PhasePermRecord | None:
     if kind == "pexp" and all(ax == "Z" for ax in op.axes):
         half = 0.5 * op.angle
         pe = complex(math.cos(half), -math.sin(half))
-        return permqueue.zparity_record(_mask(op.targets), pe, pe.conjugate(), ctrl)
+        return permqueue.zparity_record(qubit_mask(op.targets), pe, pe.conjugate(), ctrl)
     return None
 
 
@@ -104,11 +97,6 @@ def flush_qubits(sim, qubits) -> None:
 
 def flush_all(sim) -> None:
     flush_qubits(sim, list(sim.slots.keys()))
-
-
-def pre_measure_flush(sim, qubits) -> None:
-    """Before measuring: run the entire queue plus the measured qubits' slots."""
-    flush_qubits(sim, qubits)
 
 
 def _slot(sim, q: int) -> QubitSlots:
@@ -202,9 +190,9 @@ def dispatch(sim, op: GateOp) -> None:
         # A pending Rx on the target commutes with controlled-X.
         if sl.h:
             # CX * H_t = H_t * CZ: the target bit joins the phase condition.
-            sim._enqueue(permqueue.phase_record(_MINUS_ONE, _mask(op.controls) | (1 << t)))
+            sim._enqueue(permqueue.phase_record(_MINUS_ONE, qubit_mask(op.controls) | (1 << t)))
         else:
-            sim._enqueue(permqueue.flip_record(1 << t, _mask(op.controls)))
+            sim._enqueue(permqueue.flip_record(1 << t, qubit_mask(op.controls)))
         return
 
     if any(not _slot(sim, q).empty() for q in op.targets):

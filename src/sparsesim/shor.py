@@ -258,31 +258,23 @@ class Layout:
 # -- modular arithmetic on the register file ------------------------------
 
 
-def _cdkm_add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...]) -> None:
-    """y += value (mod 2^w) via the operand register; loads are controlled.
+def _add_const(sim: Simulator, lay: Layout, adder: str, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
+    """y += sign * value (mod 2^w), gated on ``controls``.
 
-    With the controls unsatisfied the operand register stays zero, so the
-    uncontrolled ripple adder contributes the identity.
+    The ripple-carry adder loads the value into the operand register under
+    the controls; with the controls unsatisfied the operand stays zero, so
+    the uncontrolled adder contributes the identity.
     """
+    if adder == "qft":
+        sim.apply_all(qft(lay.y))
+        sim.apply_all(phi_add_const(lay.y, value, controls, sign))
+        sim.apply_all(iqft(lay.y))
+        return
     w = len(lay.y)
-    value %= 1 << w
+    value = (value if sign > 0 else (1 << w) - value) % (1 << w)
     sim.apply_all(load_const(lay.a, value, controls))
     sim.apply_all(cdkm_add(lay.a, lay.y, lay.z))
     sim.apply_all(load_const(lay.a, value, controls))
-
-
-def _qft_add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
-    sim.apply_all(qft(lay.y))
-    sim.apply_all(phi_add_const(lay.y, value, controls, sign))
-    sim.apply_all(iqft(lay.y))
-
-
-def _add_const(sim: Simulator, lay: Layout, adder: str, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
-    if adder == "qft":
-        _qft_add_const(sim, lay, value, controls, sign)
-    else:
-        w = len(lay.y)
-        _cdkm_add_const(sim, lay, value if sign > 0 else (1 << w) - value, controls)
 
 
 def mod_add_const(
@@ -383,18 +375,20 @@ def _phase_estimate(
     return j
 
 
-def _finish_stats(sim: Simulator, start: float, seed: int, success: bool) -> RunStats:
+def _estimate_phases(
+    instance: FactoringInstance | DlogInstance, modulus: int, bases: list[int], seed: int, threads: int, mbu: bool
+) -> tuple[list[int], Simulator]:
+    """Shared driver body: from |1> in the work register, one phase estimation per base, then a flush."""
+    m = instance.phase_bits
+    lay = Layout.for_instance(instance.bit_size, instance.adder)
+    sim = Simulator(lay.num_qubits, seed=seed, threads=threads)
+    sim.apply(ops.x(lay.x[0]))
+    phases = [
+        _phase_estimate(sim, lay, [pow(b, 1 << (m - 1 - p), modulus) for p in range(m)], modulus, instance.adder, mbu)
+        for b in bases
+    ]
     sim.flush()
-    return RunStats(
-        qubits=sim.num_qubits,
-        max_state_size=sim.stats.max_state_size,
-        gate_count=sim.stats.gate_count,
-        flush_count=sim.stats.flush_count,
-        wall_time_ms=int((time.perf_counter() - start) * 1000),
-        threads=sim.threads,
-        seed=seed,
-        success=success,
-    )
+    return phases, sim
 
 
 @dataclass
@@ -429,23 +423,10 @@ def run_factoring(
     seed: int = 1,
     threads: int = 1,
     mbu: bool = False,
-    par_min_queue: int | None = None,
-    par_min_states: int | None = None,
 ) -> FactoringResult:
     start = time.perf_counter()
-    n, N, g, m = instance.bit_size, instance.modulus, instance.generator, instance.phase_bits
-    lay = Layout.for_instance(n, instance.adder)
-    kwargs = {}
-    if par_min_queue is not None:
-        kwargs["par_min_queue"] = par_min_queue
-    if par_min_states is not None:
-        kwargs["par_min_states"] = par_min_states
-    sim = Simulator(lay.num_qubits, seed=seed, threads=threads, **kwargs)
-    sim.apply(ops.x(lay.x[0]))  # work register starts at 1
-
-    multipliers = [pow(g, 1 << (m - 1 - p), N) for p in range(m)]
-    j = _phase_estimate(sim, lay, multipliers, N, instance.adder, mbu)
-
+    N, g, m = instance.modulus, instance.generator, instance.phase_bits
+    [j], sim = _estimate_phases(instance, N, [g], seed, threads, mbu)
     order = order_from_phase(j, m, g, N)
     factors = None
     if order is not None and order % 2 == 0:
@@ -455,7 +436,7 @@ def run_factoring(
                 if 1 < cand < N:
                     factors = tuple(sorted((cand, N // cand)))
                     break
-    stats = _finish_stats(sim, start, seed, factors is not None)
+    stats = RunStats.of(sim, start, factors is not None)
     return FactoringResult(j, order, factors, stats, sim.measurements, sim.stats)
 
 
@@ -490,18 +471,23 @@ def run_dlog(
 ) -> DlogResult:
     start = time.perf_counter()
     p, g, h, m = instance.prime, instance.base, instance.target, instance.phase_bits
-    lay = Layout.for_instance(instance.bit_size, instance.adder)
-    sim = Simulator(lay.num_qubits, seed=seed, threads=threads)
-    sim.apply(ops.x(lay.x[0]))
-
-    mults_g = [pow(g, 1 << (m - 1 - q), p) for q in range(m)]
-    mults_h = [pow(h, 1 << (m - 1 - q), p) for q in range(m)]
-    j = _phase_estimate(sim, lay, mults_g, p, instance.adder, mbu)
-    k = _phase_estimate(sim, lay, mults_h, p, instance.adder, mbu)
-
+    [j, k], sim = _estimate_phases(instance, p, [g, h], seed, threads, mbu)
     d = solve_dlog_pair(j, k, m, instance.order, g, h, p)
-    stats = _finish_stats(sim, start, seed, d is not None)
-    return DlogResult((j, k), d, stats, sim.measurements, sim.stats)
+    return DlogResult((j, k), d, RunStats.of(sim, start, d is not None), sim.measurements, sim.stats)
+
+
+def _with_retries(run, instance, seed: int, trials: int, threads: int, mbu: bool):
+    """Run up to ``trials`` seeded attempts, stopping at the first success; peak stats are merged."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    peak = 0
+    for attempt in range(trials):
+        result = run(instance, seed=seed + attempt, threads=threads, mbu=mbu)
+        peak = max(peak, result.stats.max_state_size)
+        if result.success:
+            break
+    result.stats.max_state_size = peak
+    return result
 
 
 def factor_with_retries(
@@ -513,17 +499,8 @@ def factor_with_retries(
     mbu: bool = False,
     generator: int | None = None,
 ) -> FactoringResult:
-    """Run up to ``trials`` seeded attempts; peak stats are merged."""
-    instance = FactoringInstance.build(modulus, adder, generator)
-    result = None
-    peak = 0
-    for attempt in range(trials):
-        result = run_factoring(instance, seed=seed + attempt, threads=threads, mbu=mbu)
-        peak = max(peak, result.stats.max_state_size)
-        if result.success:
-            break
-    result.stats.max_state_size = peak
-    return result
+    """Factor ``modulus`` in up to ``trials`` seeded attempts; peak stats are merged."""
+    return _with_retries(run_factoring, FactoringInstance.build(modulus, adder, generator), seed, trials, threads, mbu)
 
 
 def dlog_with_retries(
@@ -537,13 +514,5 @@ def dlog_with_retries(
     mbu: bool = False,
     adder: str = "cdkm",
 ) -> DlogResult:
-    instance = DlogInstance.build(prime, base, target, exponent, adder)
-    result = None
-    peak = 0
-    for attempt in range(trials):
-        result = run_dlog(instance, seed=seed + attempt, threads=threads, mbu=mbu)
-        peak = max(peak, result.stats.max_state_size)
-        if result.success:
-            break
-    result.stats.max_state_size = peak
-    return result
+    """Discrete log modulo ``prime`` in up to ``trials`` seeded attempts; peak stats are merged."""
+    return _with_retries(run_dlog, DlogInstance.build(prime, base, target, exponent, adder), seed, trials, threads, mbu)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import permqueue, scheduler
-from .ir import Conditional, GateOp, Program, validate_op
+from .ir import Conditional, GateOp, Program, pauli_masks, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
 from .state import (
     PRUNE_EPS,
@@ -50,19 +50,17 @@ class RunStats:
     seed: int
     success: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "qubits": self.qubits,
-                "max_state_size": self.max_state_size,
-                "gate_count": self.gate_count,
-                "flush_count": self.flush_count,
-                "wall_time_ms": self.wall_time_ms,
-                "threads": self.threads,
-                "seed": self.seed,
-                "success": self.success,
-            }
+    @classmethod
+    def of(cls, sim: "Simulator", start: float, success: bool) -> "RunStats":
+        """Report for ``sim`` after a run that began at ``start`` (a perf_counter reading)."""
+        st = sim.stats
+        return cls(
+            qubits=sim.num_qubits, max_state_size=st.max_state_size, gate_count=st.gate_count, flush_count=st.flush_count,
+            wall_time_ms=int((time.perf_counter() - start) * 1000), threads=sim.threads, seed=sim.seed, success=success,
         )
+
+    def to_json(self) -> str:
+        return json.dumps(asdict(self))
 
 
 class Simulator:
@@ -100,12 +98,6 @@ class Simulator:
     def measurements(self) -> list[int]:
         return [o.result for o in self.outcomes]
 
-    def state_size(self) -> int:
-        return len(self.state)
-
-    def norm_sq(self) -> float:
-        return self.state.norm_sq()
-
     def apply(self, op: GateOp) -> None:
         validate_op(op, self.num_qubits)
         self.stats.gate_count += 1
@@ -124,7 +116,7 @@ class Simulator:
     def measure(self, qubits) -> int:
         """Flush what the measurement needs, then project a joint Z product."""
         if self.use_scheduler:
-            scheduler.pre_measure_flush(self, tuple(qubits))
+            scheduler.flush_qubits(self, tuple(qubits))
         outcome, new_state = self.state.measure(qubits, self.rng)
         self._set_state(new_state)
         self.outcomes.append(outcome)
@@ -169,9 +161,7 @@ class Simulator:
     def _apply_direct(self, op: GateOp) -> None:
         """Apply one gate immediately, bypassing slots and the queue."""
         kind = op.kind
-        cmask = 0
-        for q in op.controls:
-            cmask |= 1 << q
+        cmask = qubit_mask(op.controls)
         if kind == "h":
             self._apply_pairwise(h_block(op.targets[0]), cmask)
             return
@@ -182,23 +172,12 @@ class Simulator:
             self._apply_pairwise(ry_block(op.targets[0], op.angle), cmask)
             return
         if kind == "pexp" and any(ax != "Z" for ax in op.axes):
-            x_mask = y_mask = z_mask = 0
-            for q, ax in zip(op.targets, op.axes):
-                if ax == "X":
-                    x_mask |= 1 << q
-                elif ax == "Y":
-                    y_mask |= 1 << q
-                else:
-                    z_mask |= 1 << q
-            self._apply_pairwise(pauli_exp_block(x_mask, y_mask, z_mask, op.angle), cmask)
+            self._apply_pairwise(pauli_exp_block(*pauli_masks(op.targets, op.axes), op.angle), cmask)
             return
-        rec = scheduler.phase_perm_record(op)
-        amps = self.state.amps
-        out: dict[int, complex] = {}
-        for b, amp in amps.items():
-            f, g = permqueue.apply_record(rec, b)
-            out[g] = f * amp
-        self._set_state(SparseState(self.num_qubits, out, self.state.prune_eps))
+        # One-record queue: the same evaluators as a scheduled flush, without its counters.
+        queue = PhasePermQueue()
+        queue.enqueue(scheduler.phase_perm_record(op))
+        self._set_state(permqueue.execute(queue, self.state))
 
 
 @dataclass
@@ -234,15 +213,4 @@ def run_program(
         else:
             sim.apply(entry)
     final = sim.dump()
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    stats = RunStats(
-        qubits=program.num_qubits,
-        max_state_size=sim.stats.max_state_size,
-        gate_count=sim.stats.gate_count,
-        flush_count=sim.stats.flush_count,
-        wall_time_ms=elapsed_ms,
-        threads=threads,
-        seed=seed,
-        success=True,
-    )
-    return RunResult(final, sim.measurements, stats, sim.stats)
+    return RunResult(final, sim.measurements, RunStats.of(sim, start, True), sim.stats)

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
+
+from .ir import qubit_mask
 
 MAX_QUBITS = 128
 
@@ -161,55 +163,14 @@ class SparseState:
                     out[partner] = v1
         return SparseState(self.num_qubits, out, eps)
 
-    def apply_pauli_exponential(
-        self,
-        pauli_string: Mapping[int, str],
-        theta: float,
-        controls: Iterable[int] = (),
-    ) -> "SparseState":
-        """Apply exp(-i*theta/2 * P), optionally controlled.
-
-        Strings containing X or Y route through the pairwise pass; a
-        pure-Z string is diagonal and only multiplies phases.
-        """
-        if not pauli_string:
-            raise ValueError("empty Pauli string")
-        x_mask = y_mask = z_mask = 0
-        for q, axis in pauli_string.items():
-            if axis == "X":
-                x_mask |= 1 << q
-            elif axis == "Y":
-                y_mask |= 1 << q
-            elif axis == "Z":
-                z_mask |= 1 << q
-            else:
-                raise ValueError(f"unknown Pauli axis {axis!r}")
-        cmask = 0
-        for q in controls:
-            cmask |= 1 << q
-        if x_mask | y_mask:
-            return self.apply_block(pauli_exp_block(x_mask, y_mask, z_mask, theta), cmask)
-        # Diagonal: phase exp(-i*theta/2) on even parity of the Z support.
-        pe = complex(math.cos(0.5 * theta), -math.sin(0.5 * theta))
-        po = pe.conjugate()
-        out: dict[int, complex] = {}
-        for b, amp in self.amps.items():
-            if b & cmask != cmask:
-                out[b] = amp
-            else:
-                out[b] = amp * (po if (b & z_mask).bit_count() & 1 else pe)
-        return SparseState(self.num_qubits, out, self.prune_eps)
-
     def measure(self, qubits: Iterable[int], rng) -> tuple[MeasurementOutcome, "SparseState"]:
         """Joint Z-product measurement over ``qubits``.
 
         Draws one uniform from ``rng``; outcome is the even-parity branch
-        iff the draw lands below its probability.  The surviving branch is
-        renormalized.  Deterministic given the seed stream.
+        iff the draw lands below its share of the squared norm.  The
+        surviving branch is renormalized.  Deterministic given the seed stream.
         """
-        mask = 0
-        for q in qubits:
-            mask |= 1 << q
+        mask = qubit_mask(qubits)
         p_even = 0.0
         total = 0.0
         for b, amp in self.amps.items():
@@ -217,8 +178,8 @@ class SparseState:
             total += w
             if not (b & mask).bit_count() & 1:
                 p_even += w
-        u = rng.random()
-        outcome = 0 if u < p_even else 1
+        # u < p_even / total, written so an empty map reports a vanishing branch.
+        outcome = 0 if rng.random() * total < p_even else 1
         p_branch = p_even if outcome == 0 else total - p_even
         if p_branch <= 0.0:
             raise RuntimeError("measured branch has vanishing probability")
@@ -237,14 +198,3 @@ def new_wavefunction(num_qubits: int, prune_eps: float = PRUNE_EPS) -> SparseSta
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
     return SparseState(num_qubits, {0: 1 + 0j}, prune_eps)
 
-
-def norm_sq(state: SparseState) -> float:
-    return state.norm_sq()
-
-
-def state_size(state: SparseState) -> int:
-    return len(state)
-
-
-def dump(state: SparseState) -> list[tuple[int, complex]]:
-    return state.dump()

@@ -100,6 +100,12 @@ def test_dlog_prints_exponent(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+@pytest.mark.parametrize("argv", [["factor", "15"], ["dlog", "--prime", "11", "--exponent", "3"]])
+def test_zero_trials_exits_two(argv, capsys):
+    assert main(argv + ["--trials", "0"]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+
+
 def test_bench_row_counts(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert main([

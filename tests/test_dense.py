@@ -1,12 +1,14 @@
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sparsesim import ops
 from sparsesim.dense import DenseState, compare, run_dense_program
 from sparsesim.ir import GateOp, Program
-from sparsesim.simulator import run_program
+from sparsesim.simulator import Simulator, run_program
 from sparsesim.state import SparseState
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -41,6 +43,23 @@ def test_rz_global_phase_convention_matches_sparse():
     sparse_res = run_program(prog, seed=0)
     sparse = SparseState(1, dict(sparse_res.dump))
     assert compare(dense, sparse) < 1e-12
+
+
+def test_measure_draw_compared_against_normalised_probability():
+    # Same rule as SparseState.measure: squared norm 0.81, all of it even, draw 0.95.
+    dense = DenseState(1)
+    dense.vec[0] = 0.9
+    dense.rng = SimpleNamespace(random=lambda: 0.95)
+    assert dense.measure([0]) == 0
+    assert dense.vec[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("axes,qubits", [("XQ", [0, 1]), ("Q", [0])])
+def test_unknown_pauli_axis_rejected_by_both_simulators(axes, qubits):
+    op = ops.pexp(0.7, axes, qubits)
+    for sim in (Simulator(2), DenseState(2)):
+        with pytest.raises(ValueError, match="Pauli axes must be X, Y or Z"):
+            sim.apply(op)
 
 
 def test_compare_identical_states_is_zero():

@@ -41,24 +41,26 @@ def test_enqueue_empty_and_many():
     assert len(q) == 65
 
 
-def test_eval_chain_order_matters():
-    # X then Z on qubit 0: Z sees the flipped bit -> phase -1 on label 0.
+def chain(records, label):
+    """(phase, label) that executing ``records`` gives one basis label of amplitude 1."""
     q = PhasePermQueue()
-    q.enqueue(flip_record(1))
-    q.enqueue(phase_record(-1 + 0j, 1))
-    phase, label = q.eval_chain(0)
+    for r in records:
+        q.enqueue(r)
+    [(out_label, phase)] = execute(q, make_state(4, {label: 1})).dump()
+    return phase, out_label
+
+
+def test_queue_order_matters():
+    # X then Z on qubit 0: Z sees the flipped bit -> phase -1 on label 0.
+    phase, label = chain([flip_record(1), phase_record(-1 + 0j, 1)], 0)
     assert (phase, label) == (-1 + 0j, 1)
 
-    q2 = PhasePermQueue()
-    q2.enqueue(phase_record(-1 + 0j, 1))
-    q2.enqueue(flip_record(1))
-    phase, label = q2.eval_chain(0)
+    phase, label = chain([phase_record(-1 + 0j, 1), flip_record(1)], 0)
     assert (phase, label) == (1 + 0j, 1)
 
 
-def test_eval_chain_empty_queue_is_identity():
-    q = PhasePermQueue()
-    assert q.eval_chain(0b1011) == (1 + 0j, 0b1011)
+def test_empty_queue_is_identity():
+    assert chain([], 0b1011) == (1 + 0j, 0b1011)
 
 
 def test_execute_cnot():
@@ -83,19 +85,14 @@ def test_execute_z_rotation_phases():
 
 
 def test_pauli_y_record_phases():
-    q = PhasePermQueue()
-    q.enqueue(pauli_y_record(0))
-    assert q.eval_chain(0) == (1j, 1)
-    assert q.eval_chain(1) == (-1j, 0)
-    q.enqueue(pauli_y_record(0))  # Y * Y = I
-    assert q.eval_chain(1) == (1 + 0j, 1)
+    assert chain([pauli_y_record(0)], 0) == (1j, 1)
+    assert chain([pauli_y_record(0)], 1) == (-1j, 0)
+    assert chain([pauli_y_record(0)] * 2, 1) == (1 + 0j, 1)  # Y * Y = I
 
 
 def test_bitswap_record():
-    q = PhasePermQueue()
-    q.enqueue(bitswap_record(0, 2))
-    assert q.eval_chain(0b001) == (1 + 0j, 0b100)
-    assert q.eval_chain(0b101) == (1 + 0j, 0b101)
+    assert chain([bitswap_record(0, 2)], 0b001) == (1 + 0j, 0b100)
+    assert chain([bitswap_record(0, 2)], 0b101) == (1 + 0j, 0b101)
 
 
 def random_records(rng, n, count):
@@ -127,7 +124,10 @@ def random_records(rng, n, count):
 
 
 def random_state(rng, n, size):
-    labels = rng.sample(range(1 << n), size)
+    return normalized_state(rng, n, rng.sample(range(1 << n), size))
+
+
+def normalized_state(rng, n, labels):
     raw = {b: complex(rng.gauss(0, 1), rng.gauss(0, 1)) for b in labels}
     norm = math.sqrt(sum(abs(a) ** 2 for a in raw.values()))
     return SparseState(n, {b: a / norm for b, a in raw.items()})
@@ -182,23 +182,43 @@ def test_thread_count_independence_large_state():
         assert d == dumps[0]
 
 
-def test_vector_and_fallback_paths_agree():
+@pytest.mark.parametrize(
+    "n,size,count,vector",
+    [
+        (10, 200, 50, True),
+        (10, 63, 50, False),
+        (10, 64, 50, True),
+        (62, 64, 50, True),
+        (63, 64, 50, False),
+        (10, 64, 1, True),
+        (10, 63, 1, False),
+    ],
+    ids=["10q-200", "10q-63", "10q-64", "62q-64", "63q-64", "one-record-10q-64", "one-record-10q-63"],
+)
+def test_vector_and_fallback_paths_agree(monkeypatch, n, size, count, vector):
+    # execute against the scalar evaluator on each side of its path choice:
+    # the vector path needs at least 64 entries and labels of at most 62 bits.
     rng = random.Random(7)
-    n = 10
-    state = random_state(rng, n, 200)
-    recs = random_records(rng, n, 50)
-    labels = sorted(state.amps)
-    import numpy as np
+    labels = set()
+    while len(labels) < size:
+        labels.add(rng.getrandbits(n))
+    state = normalized_state(rng, n, sorted(labels))
+    recs = random_records(rng, n, 4 * count)[:count]
+    assert len(recs) == count
 
-    arr_labels, arr_amps = permqueue._eval_arrays(
-        recs,
-        np.array(labels, dtype=np.int64),
-        np.array([state.amps[b] for b in labels], dtype=np.complex128),
-    )
-    items = permqueue._eval_items(recs, [(b, state.amps[b]) for b in labels])
-    assert arr_labels.tolist() == [b for b, _ in items]
-    for got, (_, want) in zip(arr_amps.tolist(), items):
-        assert got == pytest.approx(want, abs=1e-15)
+    vector_calls = []
+    eval_arrays = permqueue._eval_arrays
+    monkeypatch.setattr(permqueue, "_eval_arrays", lambda *a: vector_calls.append(1) or eval_arrays(*a))
+    q = PhasePermQueue()
+    for r in recs:
+        q.enqueue(r)
+    got = execute(q, state).amps
+    want = permqueue._eval_items(recs, list(state.amps.items()))
+
+    assert bool(vector_calls) is vector
+    assert list(got) == [b for b, _ in want]
+    for b, amp in want:
+        assert got[b] == pytest.approx(amp, abs=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from sparsesim import ops
+from sparsesim.simulator import Simulator
 from sparsesim.state import (
     MAX_QUBITS,
     PRUNE_EPS,
@@ -76,29 +78,35 @@ def test_controlled_hadamard_semantics():
     assert amps(untouched) == {0: 1 + 0j}
 
 
+def pexp_run(start, theta, axes, qubits):
+    """Apply one Pauli exponential to ``start`` through the simulator and dump the result."""
+    sim = Simulator(start.num_qubits)
+    sim.state = start
+    sim.apply(ops.pexp(theta, axes, qubits))
+    return dict(sim.dump())
+
+
 def test_pauli_exp_diagonal_z():
-    s = new_wavefunction(1).apply_pauli_exponential({0: "Z"}, math.pi / 2)
-    d = amps(s)
+    d = pexp_run(new_wavefunction(1), math.pi / 2, "Z", [0])
     expect = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
     assert d[0] == pytest.approx(expect)
 
 
 def test_pauli_exp_xx_pi():
-    s = new_wavefunction(2).apply_pauli_exponential({0: "X", 1: "X"}, math.pi)
-    d = amps(s)
+    d = pexp_run(new_wavefunction(2), math.pi, "XX", [0, 1])
     assert set(d) == {0b11}
     assert d[0b11] == pytest.approx(-1j)
 
 
 def test_pauli_exp_zero_angle_is_identity():
     start = SparseState(2, {0: 0.6 + 0j, 3: 0.8j})
-    out = start.apply_pauli_exponential({0: "Y", 1: "Z"}, 0.0)
-    assert amps(out) == amps(start)
+    out = pexp_run(start, 0.0, "YZ", [0, 1])
+    assert out == amps(start)
 
 
 def test_pauli_exp_rejects_empty_string():
     with pytest.raises(ValueError):
-        new_wavefunction(1).apply_pauli_exponential({}, 0.3)
+        pexp_run(new_wavefunction(1), 0.3, "", [])
 
 
 def test_measure_deterministic_state():
@@ -122,6 +130,13 @@ def test_measure_probability_convention():
     out, _ = s.measure([0], FixedRng(0.99))
     assert out.result == 1
     assert out.probability == pytest.approx(0.64)
+
+
+def test_measure_draw_compared_against_normalised_probability():
+    # Squared norm 0.81, all of it even: a draw of 0.95 still selects the even branch.
+    out, post = SparseState(1, {0: 0.9 + 0j}).measure([0], FixedRng(0.95))
+    assert out.result == 0
+    assert amps(post) == {0: pytest.approx(1.0)}
 
 
 def test_norm_and_size_bookkeeping():

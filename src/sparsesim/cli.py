@@ -32,7 +32,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def cmd_run(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:

@@ -17,15 +17,19 @@ import math
 from dataclasses import dataclass
 
 from . import permqueue
-from .ir import GateOp, qubit_mask
+from .ir import GateOp, pauli_masks, qubit_mask
 from .permqueue import PhasePermRecord
-from .state import h_block, rx_block, ry_block
+from .state import PairwiseBlock, h_block, pauli_exp_block, rx_block, ry_block
 
-_PHASE_S = 1j
-_PHASE_SDG = -1j
-_PHASE_T = cmath.exp(0.25j * math.pi)
-_PHASE_TDG = cmath.exp(-0.25j * math.pi)
 _MINUS_ONE = complex(-1.0, 0.0)
+# Fixed single-qubit phases, applied when the target bit (and every control) is 1.
+_PHASES = {
+    "z": _MINUS_ONE,
+    "s": 1j,
+    "sdg": -1j,
+    "t": cmath.exp(0.25j * math.pi),
+    "tdg": cmath.exp(-0.25j * math.pi),
+}
 
 
 @dataclass
@@ -38,37 +42,41 @@ class QubitSlots:
         return self.ry is None and self.rx is None and self.h == 0
 
 
-def phase_perm_record(op: GateOp) -> PhasePermRecord | None:
-    """The queue record for ``op``, or None if the gate is pairwise."""
+def is_pairwise(op: GateOp) -> bool:
+    """True when ``op`` couples two labels per row: H, Rx, Ry, or a Pauli exponential with X/Y support."""
+    return op.kind in ("h", "rx", "ry") or (op.kind == "pexp" and any(ax != "Z" for ax in op.axes))
+
+
+def pairwise_block(op: GateOp) -> PairwiseBlock:
+    """The pairwise block of a gate for which ``is_pairwise`` holds; controls are applied by the caller."""
+    kind = op.kind
+    if kind == "h":
+        return h_block(op.targets[0])
+    if kind == "rx":
+        return rx_block(op.targets[0], op.angle)
+    if kind == "ry":
+        return ry_block(op.targets[0], op.angle)
+    return pauli_exp_block(*pauli_masks(op.targets, op.axes), op.angle)
+
+
+def phase_perm_record(op: GateOp) -> PhasePermRecord:
+    """The queue record of a gate for which ``is_pairwise`` does not hold."""
     kind = op.kind
     ctrl = qubit_mask(op.controls)
     if kind == "x":
         return permqueue.flip_record(1 << op.targets[0], ctrl)
     if kind == "y":
         return permqueue.pauli_y_record(op.targets[0], ctrl)
-    if kind == "z":
-        return permqueue.phase_record(_MINUS_ONE, ctrl | (1 << op.targets[0]))
-    if kind == "s":
-        return permqueue.phase_record(_PHASE_S, ctrl | (1 << op.targets[0]))
-    if kind == "sdg":
-        return permqueue.phase_record(_PHASE_SDG, ctrl | (1 << op.targets[0]))
-    if kind == "t":
-        return permqueue.phase_record(_PHASE_T, ctrl | (1 << op.targets[0]))
-    if kind == "tdg":
-        return permqueue.phase_record(_PHASE_TDG, ctrl | (1 << op.targets[0]))
+    if kind in _PHASES:
+        return permqueue.phase_record(_PHASES[kind], ctrl | (1 << op.targets[0]))
     if kind == "r1":
         return permqueue.phase_record(cmath.exp(1j * op.angle), ctrl | (1 << op.targets[0]))
-    if kind == "rz":
-        half = 0.5 * op.angle
-        pe = complex(math.cos(half), -math.sin(half))
-        return permqueue.zparity_record(1 << op.targets[0], pe, pe.conjugate(), ctrl)
     if kind == "swap":
         return permqueue.bitswap_record(op.targets[0], op.targets[1], ctrl)
-    if kind == "pexp" and all(ax == "Z" for ax in op.axes):
-        half = 0.5 * op.angle
-        pe = complex(math.cos(half), -math.sin(half))
-        return permqueue.zparity_record(qubit_mask(op.targets), pe, pe.conjugate(), ctrl)
-    return None
+    # rz and Z-only pexp: exp(-i*angle/2 * Z...Z) over the targets.
+    half = 0.5 * op.angle
+    pe = complex(math.cos(half), -math.sin(half))
+    return permqueue.zparity_record(qubit_mask(op.targets), pe, pe.conjugate(), ctrl)
 
 
 def flush_qubits(sim, qubits) -> None:
@@ -160,17 +168,12 @@ def dispatch(sim, op: GateOp) -> None:
     """Route one gate: merge into a slot, enqueue, or flush and re-dispatch."""
     kind = op.kind
 
-    if kind in ("h", "rx", "ry"):
-        if op.controls:
+    if kind in ("h", "rx", "ry", "pexp") and is_pairwise(op):
+        if op.controls or kind == "pexp":
             flush_qubits(sim, op.controls + op.targets)
             sim._apply_direct(op)
         else:
             _merge_slot_gate(sim, op)
-        return
-
-    if kind == "pexp" and any(ax != "Z" for ax in op.axes):
-        flush_qubits(sim, op.controls + op.targets)
-        sim._apply_direct(op)
         return
 
     if kind in ("x", "y", "z") and not op.controls:

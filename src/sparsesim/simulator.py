@@ -8,19 +8,9 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import permqueue, scheduler
-from .ir import Conditional, GateOp, Program, pauli_masks, qubit_mask, validate_op
+from .ir import Conditional, GateOp, Program, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
-from .state import (
-    PRUNE_EPS,
-    MeasurementOutcome,
-    PairwiseBlock,
-    SparseState,
-    h_block,
-    new_wavefunction,
-    pauli_exp_block,
-    rx_block,
-    ry_block,
-)
+from .state import MeasurementOutcome, PairwiseBlock, SparseState, new_wavefunction
 
 
 @dataclass
@@ -79,9 +69,8 @@ class Simulator:
         use_scheduler: bool = True,
         par_min_queue: int = permqueue.DEFAULT_PAR_MIN_QUEUE,
         par_min_states: int = permqueue.DEFAULT_PAR_MIN_STATES,
-        prune_eps: float = PRUNE_EPS,
     ):
-        self.state = new_wavefunction(num_qubits, prune_eps)
+        self.state = new_wavefunction(num_qubits)
         self.num_qubits = num_qubits
         self.queue = PhasePermQueue()
         self.slots: dict[int, scheduler.QubitSlots] = {}
@@ -160,19 +149,8 @@ class Simulator:
 
     def _apply_direct(self, op: GateOp) -> None:
         """Apply one gate immediately, bypassing slots and the queue."""
-        kind = op.kind
-        cmask = qubit_mask(op.controls)
-        if kind == "h":
-            self._apply_pairwise(h_block(op.targets[0]), cmask)
-            return
-        if kind == "rx":
-            self._apply_pairwise(rx_block(op.targets[0], op.angle), cmask)
-            return
-        if kind == "ry":
-            self._apply_pairwise(ry_block(op.targets[0], op.angle), cmask)
-            return
-        if kind == "pexp" and any(ax != "Z" for ax in op.axes):
-            self._apply_pairwise(pauli_exp_block(*pauli_masks(op.targets, op.axes), op.angle), cmask)
+        if scheduler.is_pairwise(op):
+            self._apply_pairwise(scheduler.pairwise_block(op), qubit_mask(op.controls))
             return
         # One-record queue: the same evaluators as a scheduled flush, without its counters.
         queue = PhasePermQueue()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .ir import qubit_mask
 
@@ -42,71 +42,60 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True)
 class PairwiseBlock:
-    """A gate acting on pairs of basis labels ``(b, b ^ flip_mask)``.
+    """A gate acting on pairs of basis labels ``(lo, hi)`` with ``hi = lo ^ flip_mask``.
 
-    ``coeffs(lo)`` returns the 2x2 action ``(a00, a01, a10, a11)`` on the
-    ordered pair ``(lo, hi)`` where ``lo`` has a 0 at the lowest set bit
-    of ``flip_mask`` and ``hi = lo ^ flip_mask``.  The induced 2x2 matrix
-    must be unitary for every label.
+    ``lo`` has a 0 at the lowest set bit of ``flip_mask``.  The 2x2 action
+    ``(a00, a01, a10, a11)`` on the ordered pair is ``even`` when
+    ``lo & sign_mask`` has even parity and ``odd`` otherwise; both must be
+    unitary.
     """
 
     flip_mask: int
-    coeffs: Callable[[int], Coeffs]
+    sign_mask: int
+    even: Coeffs
+    odd: Coeffs
 
 
 def h_block(qubit: int) -> PairwiseBlock:
     a = _SQRT_HALF
     c: Coeffs = (a, a, a, -a)
-    return PairwiseBlock(1 << qubit, lambda b, _c=c: _c)
+    return PairwiseBlock(1 << qubit, 0, c, c)
 
 
 def rx_block(qubit: int, theta: float) -> PairwiseBlock:
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    m: Coeffs = (c, -1j * s, -1j * s, c)
-    return PairwiseBlock(1 << qubit, lambda b, _m=m: _m)
+    return pauli_exp_block(1 << qubit, 0, 0, theta)
 
 
 def ry_block(qubit: int, theta: float) -> PairwiseBlock:
-    c = math.cos(0.5 * theta)
-    s = math.sin(0.5 * theta)
-    m: Coeffs = (c, -s, s, c)
-    return PairwiseBlock(1 << qubit, lambda b, _m=m: _m)
+    return pauli_exp_block(0, 1 << qubit, 0, theta)
 
 
 def pauli_exp_block(x_mask: int, y_mask: int, z_mask: int, theta: float) -> PairwiseBlock:
     """exp(-i*theta/2 * P) for a Pauli string with X or Y support.
 
     P maps |b> to phi(b)|b ^ m> with m the X|Y flip mask and
-    phi(b) = i^{#Y} * (-1)^{parity(b & (y_mask | z_mask))}.
+    phi(b) = i^{#Y} * (-1)^{parity(b & (y_mask | z_mask))}, so
+    phi(hi) = phi(lo) * (-1)^{parity(m & sign_mask)}.
     """
     m = x_mask | y_mask
     if m == 0:
         raise ValueError("pauli_exp_block requires X or Y support; use a phase record for pure-Z strings")
-    c = complex(math.cos(0.5 * theta))
+    c = math.cos(0.5 * theta)
     s = math.sin(0.5 * theta)
-    ny = y_mask.bit_count()
-    base = (1j ** (ny & 3)) * (-1j * s)
+    base = (-1j * s, s, 1j * s, -s)[y_mask.bit_count() & 3]  # i^{#Y} * (-i*s)
     sign_mask = y_mask | z_mask
-
-    def coeffs(lo: int) -> Coeffs:
-        phi_lo = base if ((lo & sign_mask).bit_count() & 1) == 0 else -base
-        hi = lo ^ m
-        phi_hi = base if ((hi & sign_mask).bit_count() & 1) == 0 else -base
-        return (c, phi_hi, phi_lo, c)
-
-    return PairwiseBlock(m, coeffs)
+    base_hi = -base if (m & sign_mask).bit_count() & 1 else base
+    return PairwiseBlock(m, sign_mask, (c, base_hi, base, c), (c, -base_hi, -base, c))
 
 
 class SparseState:
     """Associative-map wavefunction: label -> amplitude, plus qubit count."""
 
-    __slots__ = ("num_qubits", "amps", "prune_eps")
+    __slots__ = ("num_qubits", "amps")
 
-    def __init__(self, num_qubits: int, amps: dict[int, complex], prune_eps: float = PRUNE_EPS):
+    def __init__(self, num_qubits: int, amps: dict[int, complex]):
         self.num_qubits = num_qubits
         self.amps = amps
-        self.prune_eps = prune_eps
 
     def __len__(self) -> int:
         return len(self.amps)
@@ -128,8 +117,9 @@ class SparseState:
         """
         m = block.flip_mask
         dbit = m & -m
-        coeffs = block.coeffs
-        eps = self.prune_eps
+        sign_mask = block.sign_mask
+        coeffs = (block.even, block.odd)
+        eps = PRUNE_EPS
         src = self.amps
         out: dict[int, complex] = {}
         for b, amp in src.items():
@@ -140,7 +130,7 @@ class SparseState:
             if b & dbit:
                 lo = partner
                 other = src.get(partner)
-                a00, a01, a10, a11 = coeffs(lo)
+                a00, a01, a10, a11 = coeffs[(lo & sign_mask).bit_count() & 1]
                 if other is not None:
                     v0 = a00 * other + a01 * amp
                     v1 = a10 * other + a11 * amp
@@ -154,14 +144,14 @@ class SparseState:
             else:
                 if partner in src:
                     continue  # handled when the iteration reaches the partner
-                a00, a01, a10, a11 = coeffs(b)
+                a00, a01, a10, a11 = coeffs[(b & sign_mask).bit_count() & 1]
                 v0 = a00 * amp
                 v1 = a10 * amp
                 if abs(v0) > eps:
                     out[b] = v0
                 if abs(v1) > eps:
                     out[partner] = v1
-        return SparseState(self.num_qubits, out, eps)
+        return SparseState(self.num_qubits, out)
 
     def measure(self, qubits: Iterable[int], rng) -> tuple[MeasurementOutcome, "SparseState"]:
         """Joint Z-product measurement over ``qubits``.
@@ -189,12 +179,12 @@ class SparseState:
             for b, amp in self.amps.items()
             if ((b & mask).bit_count() & 1) == outcome
         }
-        return MeasurementOutcome(outcome, p_branch), SparseState(self.num_qubits, out, self.prune_eps)
+        return MeasurementOutcome(outcome, p_branch / total), SparseState(self.num_qubits, out)
 
 
-def new_wavefunction(num_qubits: int, prune_eps: float = PRUNE_EPS) -> SparseState:
+def new_wavefunction(num_qubits: int) -> SparseState:
     """The all-zeros computational basis state |0...0>."""
     if not 1 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
-    return SparseState(num_qubits, {0: 1 + 0j}, prune_eps)
+    return SparseState(num_qubits, {0: 1 + 0j})
 

@@ -25,6 +25,13 @@ def test_run_missing_file_exits_one(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_non_utf8_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "binary.qc"
+    path.write_bytes(b"qubits 1\nx 0 \xff\n")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_run_parse_error_exits_one(tmp_path, capsys):
     path = write(tmp_path, "bad.qc", "qubits 1\nfrobnicate 0\n")
     assert main(["run", path]) == 1

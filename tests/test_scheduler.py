@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from sparsesim import ops
+from sparsesim.ir import ANGLE_KINDS, KINDS, GateOp
+from sparsesim.permqueue import FLIP, PHASE, PAULIY, PhasePermRecord
+from sparsesim.scheduler import is_pairwise, pairwise_block, phase_perm_record
 from sparsesim.simulator import Simulator
-from sparsesim.permqueue import FLIP, PHASE, PAULIY
+from sparsesim.state import PairwiseBlock
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -60,6 +63,30 @@ THETA = 0.83
 )
 def test_commutation_table_rows_hold_exactly(name, lhs, rhs):
     assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def lowering_cases():
+    """One controlled gate per kind except mz; pexp both Z-only and with X support."""
+    for kind in sorted(KINDS - {"mz"}):
+        angle = 0.3 if kind in ANGLE_KINDS else None
+        if kind == "pexp":
+            for axes, pairwise in ((("Z",), False), (("Z", "Z"), False), (("X", "Z"), True)):
+                op = GateOp(kind, (0, 1)[: len(axes)], (2,), angle, axes)
+                yield pytest.param(op, pairwise, id="pexp_" + "".join(axes))
+        else:
+            targets = (0, 1) if kind == "swap" else (0,)
+            yield pytest.param(GateOp(kind, targets, (2,), angle), kind in ("h", "rx", "ry"), id=kind)
+
+
+@pytest.mark.parametrize("op,pairwise", lowering_cases())
+def test_each_kind_lowers_to_exactly_one_kernel_input(op, pairwise):
+    assert is_pairwise(op) is pairwise
+    if pairwise:
+        assert isinstance(pairwise_block(op), PairwiseBlock)
+    else:
+        record = phase_perm_record(op)
+        assert isinstance(record, PhasePermRecord)
+        assert record.control_mask & 0b100
 
 
 def slots(sim, q):

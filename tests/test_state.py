@@ -130,6 +130,10 @@ def test_measure_probability_convention():
     out, _ = s.measure([0], FixedRng(0.99))
     assert out.result == 1
     assert out.probability == pytest.approx(0.64)
+    # The probability is the branch's share of the squared norm, even for an unnormalised map.
+    out, _ = SparseState(1, {0: 0.9 + 0j}).measure([0], FixedRng(0.5))
+    assert out.result == 0
+    assert out.probability == pytest.approx(1.0)
 
 
 def test_measure_draw_compared_against_normalised_probability():
@@ -167,6 +171,7 @@ GATE_BLOCKS = [
     ("ry", lambda: ry_block(2, -1.3)),
     ("pexp_xy", lambda: pauli_exp_block(0b100, 0b010, 0b001, 0.9)),
     ("pexp_y", lambda: pauli_exp_block(0, 0b100, 0, 2.1)),
+    ("pexp_yy", lambda: pauli_exp_block(0, 0b110, 0, 0.4)),
 ]
 
 
@@ -188,6 +193,7 @@ def test_unitarity_round_trip(name, make):
         "ry": lambda: ry_block(2, 1.3),
         "pexp_xy": lambda: pauli_exp_block(0b100, 0b010, 0b001, -0.9),
         "pexp_y": lambda: pauli_exp_block(0, 0b100, 0, -2.1),
+        "pexp_yy": lambda: pauli_exp_block(0, 0b110, 0, -0.4),
     }[name]()
     out = state.apply_block(block).apply_block(inverse)
     for b, a in state.amps.items():

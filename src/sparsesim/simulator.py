@@ -70,6 +70,8 @@ class Simulator:
         par_min_queue: int = permqueue.DEFAULT_PAR_MIN_QUEUE,
         par_min_states: int = permqueue.DEFAULT_PAR_MIN_STATES,
     ):
+        if threads < 1:
+            raise ValueError(f"threads must be at least 1, got {threads}")
         self.state = new_wavefunction(num_qubits)
         self.num_qubits = num_qubits
         self.queue = PhasePermQueue()

@@ -113,6 +113,14 @@ def test_zero_trials_exits_two(argv, capsys):
     assert "trials must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", ["run", "factor"])
+def test_threads_below_one_exits_two(tmp_path, capsys, command, threads):
+    argv = ["run", write(tmp_path, "bell.qc", BELL)] if command == "run" else ["factor", "15"]
+    assert main(argv + ["--threads", threads]) == 2
+    assert "threads must be at least 1" in capsys.readouterr().err
+
+
 def test_bench_row_counts(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert main([

@@ -183,39 +183,46 @@ def test_thread_count_independence_large_state():
 
 
 @pytest.mark.parametrize(
-    "n,size,count,vector",
+    "n,label_bits,size,count,planes",
     [
-        (10, 200, 50, True),
-        (10, 63, 50, False),
-        (10, 64, 50, True),
-        (62, 64, 50, True),
-        (63, 64, 50, False),
-        (10, 64, 1, True),
-        (10, 63, 1, False),
+        (10, 10, 200, 50, True),
+        (10, 10, 63, 50, False),
+        (10, 10, 64, 50, True),
+        (62, 62, 64, 50, True),
+        (63, 63, 64, 50, True),
+        (65, 65, 64, 50, True),
+        (100, 100, 150, 120, True),
+        (128, 128, 200, 200, True),
+        (128, 40, 100, 120, True),
+        (10, 10, 64, 1, True),
+        (10, 10, 63, 1, False),
     ],
-    ids=["10q-200", "10q-63", "10q-64", "62q-64", "63q-64", "one-record-10q-64", "one-record-10q-63"],
+    ids=[
+        "10q-200", "10q-63", "10q-64", "62q-64", "63q-64", "65q-64", "100q-150", "128q-200",
+        "128q-above-40b-100", "one-record-10q-64", "one-record-10q-63",
+    ],
 )
-def test_vector_and_fallback_paths_agree(monkeypatch, n, size, count, vector):
+def test_vector_and_fallback_paths_agree(monkeypatch, n, label_bits, size, count, planes):
     # execute against the scalar evaluator on each side of its path choice:
-    # the vector path needs at least 64 entries and labels of at most 62 bits.
+    # maps of at least 64 entries are evaluated bit-sliced at any label width.
     rng = random.Random(7)
     labels = set()
     while len(labels) < size:
-        labels.add(rng.getrandbits(n))
+        labels.add(rng.getrandbits(label_bits))
     state = normalized_state(rng, n, sorted(labels))
     recs = random_records(rng, n, 4 * count)[:count]
     assert len(recs) == count
 
-    vector_calls = []
-    eval_arrays = permqueue._eval_arrays
-    monkeypatch.setattr(permqueue, "_eval_arrays", lambda *a: vector_calls.append(1) or eval_arrays(*a))
+    plane_calls = []
+    eval_planes = permqueue._eval_planes
+    monkeypatch.setattr(permqueue, "_eval_planes", lambda *a: plane_calls.append(1) or eval_planes(*a))
     q = PhasePermQueue()
     for r in recs:
         q.enqueue(r)
     got = execute(q, state).amps
     want = permqueue._eval_items(recs, list(state.amps.items()))
 
-    assert bool(vector_calls) is vector
+    assert bool(plane_calls) is planes
     assert list(got) == [b for b, _ in want]
     for b, amp in want:
         assert got[b] == pytest.approx(amp, abs=1e-15)
@@ -243,7 +250,7 @@ def test_parallel_gating_thresholds(queue_len, n_states, threads, expect_paralle
 
 
 def test_wide_labels_use_python_fallback():
-    # Labels beyond 62 bits cannot ride the int64 vector path.
+    # 70-bit labels; the two-entry map takes the scalar path at any width.
     sim = Simulator(70, seed=1)
     sim.apply(ops.h(0))
     for q in range(1, 70):

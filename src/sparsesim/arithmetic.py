@@ -57,16 +57,6 @@ def cdkm_add(a: Reg, b: Reg, carry: int, carry_out: int | None = None) -> Iterat
         yield from _uma(chain[i], b[i], a[i])
 
 
-def cdkm_sub(a: Reg, b: Reg, carry: int) -> Iterator[GateOp]:
-    """|a>|b> -> |a>|b-a mod 2^w>: the adder run in reverse."""
-    w = len(a)
-    chain = [carry] + list(a[:-1])
-    for i in range(w):
-        yield from reversed(list(_uma(chain[i], b[i], a[i])))
-    for i in reversed(range(w)):
-        yield from reversed(list(_maj(chain[i], b[i], a[i])))
-
-
 def qft(reg: Reg) -> Iterator[GateOp]:
     """Fourier transform, most-significant qubit first, no final swaps.
 

@@ -67,10 +67,6 @@ def ccx(c1: int, c2: int, target: int) -> GateOp:
     return GateOp("x", (target,), (c1, c2))
 
 
-def cz(control: int, target: int) -> GateOp:
-    return GateOp("z", (target,), (control,))
-
-
 def swap(q1: int, q2: int, controls: Iterable[int] = ()) -> GateOp:
     return GateOp("swap", (q1, q2), _c(controls))
 

@@ -8,6 +8,13 @@ slots toward the queue using a fixed table of commutation relations;
 anything without a table entry forces a flush of the touched qubits and is
 dispatched again into the empty structures.  Deferring the pairwise gates
 this way keeps the stored map small, since only they can grow it.
+
+``sim.slots`` holds a qubit's ``QubitSlots`` only while it has a pending
+H, Rx or Ry: a flush pops the slot and a merge that cancels (H*H,
+Rx(a)*Rx(-a), Ry(a)*Ry(-a)) deletes it, so ``q in sim.slots`` is the
+pending test and lookups never create slots.  ``flush_qubits`` is the one
+place that executes the queue; it adds the records it executes to
+``gates_enqueued``.
 """
 
 from __future__ import annotations
@@ -37,9 +44,6 @@ class QubitSlots:
     ry: float | None = None
     rx: float | None = None
     h: int = 0
-
-    def empty(self) -> bool:
-        return self.ry is None and self.rx is None and self.h == 0
 
 
 def is_pairwise(op: GateOp) -> bool:
@@ -85,39 +89,32 @@ def flush_qubits(sim, qubits) -> None:
     Slots on untouched qubits stay pending; their support is disjoint so
     they commute with anything acting on the flushed qubits.
     """
-    pending = [q for q in qubits if q in sim.slots and not sim.slots[q].empty()]
-    if not pending and not sim.queue.records:
+    slots = sim.slots
+    pending = sorted({q for q in qubits if q in slots})
+    records = sim.queue.records
+    if not pending and not records:
         return
     sim.stats.flush_count += 1
-    if sim.queue.records:
-        sim._execute_queue()
-    for q in sorted(pending):
-        sl = sim.slots[q]
+    if records:
+        sim.stats.gates_enqueued += len(records)
+        sim._set_state(
+            permqueue.execute(sim.queue, sim.state, sim.threads, sim.par_min_queue, sim.par_min_states, stats=sim.stats)
+        )
+    for q in pending:
+        sl = slots.pop(q)
         if sl.h:
             sim._apply_pairwise(h_block(q))
         if sl.rx is not None:
             sim._apply_pairwise(rx_block(q, sl.rx))
         if sl.ry is not None:
             sim._apply_pairwise(ry_block(q, sl.ry))
-        sl.ry = sl.rx = None
-        sl.h = 0
-
-
-def flush_all(sim) -> None:
-    flush_qubits(sim, list(sim.slots.keys()))
-
-
-def _slot(sim, q: int) -> QubitSlots:
-    sl = sim.slots.get(q)
-    if sl is None:
-        sl = QubitSlots()
-        sim.slots[q] = sl
-    return sl
 
 
 def _merge_slot_gate(sim, op: GateOp) -> None:
     q = op.targets[0]
-    sl = _slot(sim, q)
+    sl = sim.slots.get(q)
+    if sl is None:
+        sl = sim.slots[q] = QubitSlots()
     kind = op.kind
     if kind == "ry":
         sl.ry = op.angle if sl.ry is None else sl.ry + op.angle
@@ -139,6 +136,8 @@ def _merge_slot_gate(sim, op: GateOp) -> None:
         if sl.ry is not None:
             sl.ry = -sl.ry  # H * Ry(a) = Ry(-a) * H
         sl.h ^= 1  # H * H = I
+    if sl.ry is None and sl.rx is None and not sl.h:
+        del sim.slots[q]
     sim.stats.gates_absorbed += 1
 
 
@@ -146,22 +145,23 @@ def _commute_pauli(sim, op: GateOp) -> None:
     # Uncontrolled X/Y/Z pushed through Ry, then Rx, then H on its qubit.
     kind = op.kind
     q = op.targets[0]
-    sl = _slot(sim, q)
-    if sl.ry is not None and kind in ("x", "z"):
-        sl.ry = -sl.ry
-    if sl.rx is not None and kind in ("y", "z"):
-        sl.rx = -sl.rx
+    sl = sim.slots.get(q)
     minus = False
-    if sl.h:
-        if kind == "x":
-            kind = "z"
-        elif kind == "z":
-            kind = "x"
-        else:
-            minus = True  # Y * H = -H * Y
-    sim._enqueue(phase_perm_record(GateOp(kind, (q,))))
+    if sl is not None:
+        if sl.ry is not None and kind in ("x", "z"):
+            sl.ry = -sl.ry
+        if sl.rx is not None and kind in ("y", "z"):
+            sl.rx = -sl.rx
+        if sl.h:
+            if kind == "x":
+                kind = "z"
+            elif kind == "z":
+                kind = "x"
+            else:
+                minus = True  # Y * H = -H * Y
+    sim.queue.enqueue(phase_perm_record(GateOp(kind, (q,))))
     if minus:
-        sim._enqueue(permqueue.phase_record(_MINUS_ONE))
+        sim.queue.enqueue(permqueue.phase_record(_MINUS_ONE))
 
 
 def dispatch(sim, op: GateOp) -> None:
@@ -181,23 +181,24 @@ def dispatch(sim, op: GateOp) -> None:
         return
 
     # Phase/permutation gate, possibly controlled.
-    if any(not _slot(sim, q).empty() for q in op.controls):
+    slots = sim.slots
+    if slots and any(q in slots for q in op.controls):
         flush_qubits(sim, op.controls + op.targets)
 
     if kind == "x":
         t = op.targets[0]
-        sl = _slot(sim, t)
-        if sl.ry is not None:
+        sl = slots.get(t)
+        if sl is not None and sl.ry is not None:
             flush_qubits(sim, op.controls + op.targets)
-            sl = _slot(sim, t)
+            sl = None
         # A pending Rx on the target commutes with controlled-X.
-        if sl.h:
+        if sl is not None and sl.h:
             # CX * H_t = H_t * CZ: the target bit joins the phase condition.
-            sim._enqueue(permqueue.phase_record(_MINUS_ONE, qubit_mask(op.controls) | (1 << t)))
+            sim.queue.enqueue(permqueue.phase_record(_MINUS_ONE, qubit_mask(op.controls) | (1 << t)))
         else:
-            sim._enqueue(permqueue.flip_record(1 << t, qubit_mask(op.controls)))
+            sim.queue.enqueue(permqueue.flip_record(1 << t, qubit_mask(op.controls)))
         return
 
-    if any(not _slot(sim, q).empty() for q in op.targets):
+    if slots and any(q in slots for q in op.targets):
         flush_qubits(sim, op.controls + op.targets)
-    sim._enqueue(phase_perm_record(op))
+    sim.queue.enqueue(phase_perm_record(op))

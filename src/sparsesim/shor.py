@@ -137,28 +137,6 @@ def order_from_phase(j: int, phase_bits: int, g: int, n: int, max_multiple: int 
     return None
 
 
-def sample_phase_outcome(rng, order: int, phase_bits: int) -> int:
-    """One draw from the exact order-finding measurement distribution.
-
-    Picks an eigenvalue index uniformly, then samples the phase register
-    outcome j with probability |(1/2^m) sum_a exp(2 pi i a (s/r - j/2^m))|^2.
-    """
-    import numpy as np
-
-    m = phase_bits
-    dim = 1 << m
-    s = rng.randrange(order)
-    j = np.arange(dim)
-    delta = s / order - j / dim
-    num = np.sin(np.pi * dim * delta) ** 2
-    den = np.sin(np.pi * delta) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        probs = np.where(den < 1e-300, 1.0, num / (dim * dim * np.where(den < 1e-300, 1.0, den)))
-    probs = probs / probs.sum()
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(probs), u))
-
-
 # -- instances -----------------------------------------------------------
 
 

@@ -106,8 +106,7 @@ class Simulator:
 
     def measure(self, qubits) -> int:
         """Flush what the measurement needs, then project a joint Z product."""
-        if self.use_scheduler:
-            scheduler.flush_qubits(self, tuple(qubits))
+        scheduler.flush_qubits(self, tuple(qubits))
         outcome, new_state = self.state.measure(qubits, self.rng)
         self._set_state(new_state)
         self.outcomes.append(outcome)
@@ -116,8 +115,7 @@ class Simulator:
 
     def flush(self) -> None:
         """Force every queued gate and pending slot into the state."""
-        if self.use_scheduler:
-            scheduler.flush_all(self)
+        scheduler.flush_qubits(self, list(self.slots))
 
     def dump(self) -> list[tuple[int, complex]]:
         self.flush()
@@ -132,22 +130,6 @@ class Simulator:
 
     def _apply_pairwise(self, block: PairwiseBlock, control_mask: int = 0) -> None:
         self._set_state(self.state.apply_block(block, control_mask))
-
-    def _enqueue(self, record) -> None:
-        self.queue.enqueue(record)
-        self.stats.gates_enqueued += 1
-
-    def _execute_queue(self) -> None:
-        self._set_state(
-            permqueue.execute(
-                self.queue,
-                self.state,
-                thread_budget=self.threads,
-                par_min_queue=self.par_min_queue,
-                par_min_states=self.par_min_states,
-                stats=self.stats,
-            )
-        )
 
     def _apply_direct(self, op: GateOp) -> None:
         """Apply one gate immediately, bypassing slots and the queue."""

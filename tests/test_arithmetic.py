@@ -130,22 +130,6 @@ def test_qft_add_subtraction():
             assert field(basis_run(3, circuit()), reg) == (start - const) % 8
 
 
-def test_cdkm_sub_inverts_add():
-    w = 4
-    a, b = tuple(range(w)), tuple(range(w, 2 * w))
-    cin = 2 * w
-    for av, bv in ((3, 9), (15, 1), (8, 8)):
-        def circuit():
-            yield from ar.load_const(a, av)
-            yield from ar.load_const(b, bv)
-            yield from ar.cdkm_add(a, b, cin)
-            yield from ar.cdkm_sub(a, b, cin)
-
-        label = basis_run(2 * w + 1, circuit())
-        assert field(label, b) == bv
-        assert field(label, a) == av
-
-
 def test_register_width_mismatch_rejected():
     with pytest.raises(ValueError):
         list(ar.cdkm_add((0, 1), (2, 3, 4), 5))

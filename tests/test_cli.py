@@ -121,6 +121,19 @@ def test_threads_below_one_exits_two(tmp_path, capsys, command, threads):
     assert "threads must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "factor", "dlog", "bench"])
+def test_unwritable_output_exits_two(tmp_path, capsys, command):
+    bad = str(tmp_path / "missing" / "out")
+    argv = {
+        "run": ["run", write(tmp_path, "bell.qc", BELL), "--stats", bad],
+        "factor": ["factor", "15", "--stats", bad],
+        "dlog": ["dlog", "--prime", "11", "--exponent", "3", "--stats", bad],
+        "bench": ["bench", "--suite", "factoring", "--sizes", "15", "--reps", "1", "--out", bad],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_bench_row_counts(tmp_path, capsys):
     out = tmp_path / "data.csv"
     assert main([

@@ -7,7 +7,7 @@ import pytest
 from sparsesim import ops
 from sparsesim.ir import ANGLE_KINDS, KINDS, GateOp
 from sparsesim.permqueue import FLIP, PHASE, PAULIY, PhasePermRecord
-from sparsesim.scheduler import is_pairwise, pairwise_block, phase_perm_record
+from sparsesim.scheduler import QubitSlots, is_pairwise, pairwise_block, phase_perm_record
 from sparsesim.simulator import Simulator
 from sparsesim.state import PairwiseBlock
 
@@ -90,9 +90,8 @@ def test_each_kind_lowers_to_exactly_one_kernel_input(op, pairwise):
 
 
 def slots(sim, q):
-    from sparsesim.scheduler import _slot
-
-    return _slot(sim, q)
+    # Read-only: an absent qubit has nothing pending.
+    return sim.slots.get(q, QubitSlots())
 
 
 def test_incoming_h_cancels_pending_h():
@@ -146,7 +145,7 @@ def test_ccx_with_pending_rx_on_control_forces_flush():
     # flush executed the queued X gates and applied the Rx (state grew);
     # the CCX sits alone in the fresh queue
     assert len(sim.state) == 2
-    assert slots(sim, 1).empty()
+    assert 1 not in sim.slots
     assert len(sim.queue) == 1
     assert sim.queue.records[0].kind == FLIP
     assert sim.queue.records[0].control_mask == 0b110
@@ -173,6 +172,20 @@ def test_rx_merge_requires_empty_ry():
     assert slots(sim, 0).rx == pytest.approx(0.5)
     assert slots(sim, 0).ry is None
     assert sim.stats.flush_count >= 1
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(ops.h(1), ops.h(1)), (ops.rx(0.3, 1), ops.rx(-0.3, 1)), (ops.ry(0.3, 1), ops.ry(-0.3, 1))],
+    ids=["h-h", "rx-rx", "ry-ry"],
+)
+def test_cancelling_pair_leaves_no_slot(pair):
+    sim = Simulator(2)
+    sim.apply_all(pair)
+    assert 1 not in sim.slots
+    sim.apply(ops.cx(1, 0))
+    assert [r.kind for r in sim.queue.records] == [FLIP]
+    assert sim.stats.flush_count == 0
 
 
 def test_flush_all_empty_structures_is_noop():
@@ -254,6 +267,7 @@ def test_scheduler_transparency_on_random_programs():
                         sim.apply(entry.op)
                 else:
                     sim.apply(entry)
+            assert all(sl.h or sl.rx is not None or sl.ry is not None for sl in on.slots.values())
         d_on, d_off = dict(on.dump()), dict(off.dump())
         assert on.measurements == off.measurements
         assert set(d_on) == set(d_off)

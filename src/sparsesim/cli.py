@@ -40,18 +40,14 @@ def cmd_run(args) -> int:
     except CircuitSyntaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        result = run_program(
-            program,
-            seed=args.seed,
-            threads=args.threads,
-            scheduler_enabled=not args.no_queue,
-            par_min_queue=args.par_min_queue,
-            par_min_states=args.par_min_states,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = run_program(
+        program,
+        seed=args.seed,
+        threads=args.threads,
+        scheduler_enabled=not args.no_queue,
+        par_min_queue=args.par_min_queue,
+        par_min_states=args.par_min_states,
+    )
     if result.measurements:
         print(" ".join(str(b) for b in result.measurements))
     if args.dump_final:
@@ -78,19 +74,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_factor(args) -> int:
-    try:
-        result = shor.factor_with_retries(
-            args.N,
-            adder=args.adder,
-            seed=args.seed,
-            trials=args.trials,
-            threads=args.threads,
-            mbu=args.mbu,
-            generator=args.generator,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = shor.factor_with_retries(
+        args.N,
+        adder=args.adder,
+        seed=args.seed,
+        trials=args.trials,
+        threads=args.threads,
+        mbu=args.mbu,
+        generator=args.generator,
+    )
     _write_stats(args.stats, result.stats)
     if not result.success:
         print("no factors found", file=sys.stderr)
@@ -100,21 +92,17 @@ def cmd_factor(args) -> int:
 
 
 def cmd_dlog(args) -> int:
-    try:
-        result = shor.dlog_with_retries(
-            args.prime,
-            base=args.base,
-            target=args.target,
-            exponent=args.exponent,
-            seed=args.seed,
-            trials=args.trials,
-            threads=args.threads,
-            mbu=args.mbu,
-            adder=args.adder,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    result = shor.dlog_with_retries(
+        args.prime,
+        base=args.base,
+        target=args.target,
+        exponent=args.exponent,
+        seed=args.seed,
+        trials=args.trials,
+        threads=args.threads,
+        mbu=args.mbu,
+        adder=args.adder,
+    )
     _write_stats(args.stats, result.stats)
     if not result.success:
         print("no exponent recovered", file=sys.stderr)
@@ -129,25 +117,22 @@ def cmd_bench(args) -> int:
     except ValueError:
         print(f"error: bad --sizes {args.sizes!r}", file=sys.stderr)
         return EXIT_RUNTIME
-    rows = ["instance,rep,wall_time_ms,max_state_size,success"]
-    try:
-        for size in sizes:
-            if args.suite == "factoring":
-                instance = shor.FactoringInstance.build(size, args.adder)
-            else:
-                instance = shor.DlogInstance.build(size, exponent=7, adder=args.adder)
-            for rep in range(args.reps):
-                seed = args.seed + rep
-                if args.suite == "factoring":
-                    res = shor.run_factoring(instance, seed=seed, threads=args.threads, mbu=args.mbu)
-                else:
-                    res = shor.run_dlog(instance, seed=seed, threads=args.threads, mbu=args.mbu)
-                rows.append(
-                    f"{size},{rep},{res.stats.wall_time_ms},{res.stats.max_state_size},{res.success}"
-                )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.reps < 0:
+        print(f"error: --reps must be at least 0, got {args.reps}", file=sys.stderr)
         return EXIT_RUNTIME
+    rows = ["instance,rep,wall_time_ms,max_state_size,success"]
+    for size in sizes:
+        if args.suite == "factoring":
+            instance = shor.FactoringInstance.build(size, args.adder)
+        else:
+            instance = shor.DlogInstance.build(size, exponent=7, adder=args.adder)
+        for rep in range(args.reps):
+            seed = args.seed + rep
+            if args.suite == "factoring":
+                res = shor.run_factoring(instance, seed=seed, threads=args.threads, mbu=args.mbu)
+            else:
+                res = shor.run_dlog(instance, seed=seed, threads=args.threads, mbu=args.mbu)
+            rows.append(f"{size},{rep},{res.stats.wall_time_ms},{res.stats.max_state_size},{res.success}")
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {len(rows) - 1} rows to {args.out}")
     return EXIT_OK
@@ -205,7 +190,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:  # a --stats or --out file that cannot be written
+    # A rejected argument or instance, an unwritable --stats/--out file, or a vanishing measured branch.
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -3,8 +3,8 @@
 The text grammar is one instruction per line: a ``qubits N`` header, then
 gate lines ``<mnemonic> [angle] q0 q1 ...``.  A mnemonic takes one leading
 ``c`` per control (``ccx 0 1 2`` is a doubly-controlled X with controls 0
-and 1); controls are the first qubits listed.  Angles are decimal radians
-or fractions of pi (``pi``, ``pi/4``, ``-3pi/8``).  ``pexp <angle>
+and 1); controls are the first qubits listed.  Angles are finite decimal
+radians or fractions of pi (``pi``, ``pi/4``, ``-3pi/8``).  ``pexp <angle>
 <XYZI-string> <q...>`` applies a Pauli exponential; ``mz <q...>`` measures
 a joint Z product.  ``if c<k> == <0|1> <gate line>`` conditions a gate on
 the k-th earlier measurement.  ``#`` starts a comment.
@@ -74,8 +74,8 @@ def validate_op(op: GateOp, num_qubits: int) -> None:
             raise ValueError("Pauli axis count must match target count")
         if not set(op.axes) <= {"X", "Y", "Z"}:
             raise ValueError(f"Pauli axes must be X, Y or Z, got {op.axes}")
-    if op.kind in ANGLE_KINDS and op.angle is None:
-        raise ValueError(f"{op.kind} requires an angle")
+    if op.kind in ANGLE_KINDS and (op.angle is None or not math.isfinite(op.angle)):
+        raise ValueError(f"{op.kind} requires a finite angle, got {op.angle}")
     if not op.targets:
         raise ValueError(f"{op.kind} requires at least one qubit")
     if op.kind in {"x", "y", "z", "h", "s", "sdg", "t", "tdg", "r1", "rx", "ry", "rz"} and len(op.targets) != 1:
@@ -99,13 +99,18 @@ _PI_RE = re.compile(r"^([+-]?)(\d+(?:\.\d+)?)?\*?pi(?:/(\d+))?$")
 
 
 def parse_angle(token: str) -> float:
+    """A finite angle in radians; raises ValueError for anything else (``nan``, ``inf``, ``pi/0``)."""
     m = _PI_RE.match(token)
     if m:
         sign = -1.0 if m.group(1) == "-" else 1.0
         num = float(m.group(2)) if m.group(2) else 1.0
         den = float(m.group(3)) if m.group(3) else 1.0
-        return sign * num * math.pi / den
-    return float(token)
+        angle = sign * num * math.pi / den if den else math.inf
+    else:
+        angle = float(token)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle {token!r} is not finite")
+    return angle
 
 
 def _parse_gate_tokens(tokens: list[str], num_qubits: int, line_no: int) -> GateOp:

@@ -15,6 +15,12 @@ Rx(a)*Rx(-a), Ry(a)*Ry(-a)) deletes it, so ``q in sim.slots`` is the
 pending test and lookups never create slots.  ``flush_qubits`` is the one
 place that executes the queue; it adds the records it executes to
 ``gates_enqueued``.
+
+``lower`` validates a fixed sequence of non-pairwise gates once and builds
+its records.  ``Simulator.apply_lowered`` appends them with one ``extend``
+when the scheduler is on and no slot is pending on the block's ``mask``:
+then ``dispatch`` would enqueue exactly ``phase_perm_record(op)`` per gate,
+with no flush or merge.  Otherwise the block goes through ``apply_all``.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import permqueue
-from .ir import GateOp, pauli_masks, qubit_mask
+from .ir import GateOp, pauli_masks, qubit_mask, validate_op
 from .permqueue import PhasePermRecord
 from .state import PairwiseBlock, h_block, pauli_exp_block, rx_block, ry_block
 
@@ -81,6 +88,26 @@ def phase_perm_record(op: GateOp) -> PhasePermRecord:
     half = 0.5 * op.angle
     pe = complex(math.cos(half), -math.sin(half))
     return permqueue.zparity_record(qubit_mask(op.targets), pe, pe.conjugate(), ctrl)
+
+
+class Lowered(NamedTuple):
+    """A validated gate sequence with its queue records and the mask of every qubit it touches."""
+
+    ops: tuple[GateOp, ...]
+    records: tuple[PhasePermRecord, ...]
+    mask: int
+
+
+def lower(ops, num_qubits: int) -> Lowered:
+    """Validate ``ops`` once and lower them to queue records; pairwise gates and ``mz`` have none."""
+    ops = tuple(ops)
+    mask = 0
+    for op in ops:
+        validate_op(op, num_qubits)
+        if op.kind == "mz" or is_pairwise(op):
+            raise ValueError(f"{op.kind} has no queue record")
+        mask |= qubit_mask(op.targets + op.controls)
+    return Lowered(ops, tuple(phase_perm_record(op) for op in ops), mask)
 
 
 def flush_qubits(sim, qubits) -> None:

@@ -12,6 +12,7 @@ number of stored entries.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import ops
 from .arithmetic import Reg, cdkm_add, cswap_regs, iqft, load_const, phi_add_const, qft
 from .ir import GateOp
+from .scheduler import Lowered, lower
 from .simulator import RunStats, Simulator
 
 # -- classical number theory helpers ------------------------------------
@@ -251,8 +253,14 @@ def _add_const(sim: Simulator, lay: Layout, adder: str, value: int, controls: tu
     w = len(lay.y)
     value = (value if sign > 0 else (1 << w) - value) % (1 << w)
     sim.apply_all(load_const(lay.a, value, controls))
-    sim.apply_all(cdkm_add(lay.a, lay.y, lay.z))
+    sim.apply_lowered(_lowered_adder(lay))
     sim.apply_all(load_const(lay.a, value, controls))
+
+
+@functools.cache
+def _lowered_adder(lay: Layout) -> Lowered:
+    """The ripple-carry adder y += a of a layout, lowered once; it does not depend on the constant."""
+    return lower(cdkm_add(lay.a, lay.y, lay.z), lay.num_qubits)
 
 
 def mod_add_const(

@@ -104,6 +104,16 @@ class Simulator:
         for op in ops:
             self.apply(op)
 
+    def apply_lowered(self, block: scheduler.Lowered) -> None:
+        """Apply a block from ``scheduler.lower``: one queue ``extend`` when no slot is pending on its qubits."""
+        if block.mask >> self.num_qubits:
+            raise ValueError(f"block touches qubits beyond the {self.num_qubits}-qubit state")
+        if self.use_scheduler and not qubit_mask(self.slots) & block.mask:
+            self.stats.gate_count += len(block.records)
+            self.queue.records.extend(block.records)
+        else:
+            self.apply_all(block.ops)
+
     def measure(self, qubits) -> int:
         """Flush what the measurement needs, then project a joint Z product."""
         scheduler.flush_qubits(self, tuple(qubits))

@@ -145,6 +145,41 @@ def test_bench_row_counts(tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
+def test_bench_negative_reps_exits_two(tmp_path, capsys):
+    out = tmp_path / "none.csv"
+    assert main(["bench", "--suite", "dlog", "--sizes", "11", "--reps", "-2", "--out", str(out)]) == 2
+    assert "--reps must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["qubits 2\nrz nan 0\nh 0\nmz 0\n", "qubits 3\nh 1\nr1 nan 1\nh 1\n", "qubits 1\nrx pi/0 0\n"]
+)
+def test_run_non_finite_angle_exits_one(tmp_path, capsys, text):
+    assert main(["run", write(tmp_path, "bad.qc", text), "--dump-final"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["run", "factor", "dlog", "bench"])
+def test_vanishing_branch_exits_two(tmp_path, capsys, monkeypatch, command):
+    from sparsesim.state import SparseState
+
+    def vanish(self, qubits, rng):
+        raise RuntimeError("measured branch has vanishing probability")
+
+    monkeypatch.setattr(SparseState, "measure", vanish)
+    argv = {
+        "run": ["run", write(tmp_path, "bell.qc", BELL)],
+        "factor": ["factor", "15"],
+        "dlog": ["dlog", "--prime", "11", "--exponent", "3"],
+        "bench": ["bench", "--suite", "factoring", "--sizes", "15", "--reps", "1", "--out", str(tmp_path / "b.csv")],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: measured branch has vanishing probability\n"
+
+
 def test_bench_zero_reps_writes_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["bench", "--suite", "dlog", "--sizes", "11", "--reps", "0", "--out", str(out)]) == 0

@@ -10,6 +10,7 @@ from sparsesim.ir import (
     format_program,
     parse_angle,
     parse_circuit,
+    validate_op,
 )
 from sparsesim.simulator import run_program
 
@@ -44,6 +45,21 @@ def test_parse_pi_fraction_angle():
 )
 def test_parse_angle_forms(token, value):
     assert parse_angle(token) == pytest.approx(value)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "pi/0", "-3pi/0"])
+def test_parse_angle_rejects_non_finite(token):
+    with pytest.raises(ValueError, match="not finite"):
+        parse_angle(token)
+    with pytest.raises(CircuitSyntaxError) as err:
+        parse_circuit(f"qubits 1\nrx {token} 0\n")
+    assert err.value.line == 2
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_validate_op_rejects_non_finite_angle(angle):
+    with pytest.raises(ValueError, match="finite"):
+        validate_op(GateOp("rz", (0,), (), angle), 1)
 
 
 def test_out_of_range_qubit_is_an_error():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from sparsesim import ops
+from sparsesim.arithmetic import cdkm_add
 from sparsesim.ir import ANGLE_KINDS, KINDS, GateOp
 from sparsesim.permqueue import FLIP, PHASE, PAULIY, PhasePermRecord
-from sparsesim.scheduler import QubitSlots, is_pairwise, pairwise_block, phase_perm_record
+from sparsesim.scheduler import QubitSlots, is_pairwise, lower, pairwise_block, phase_perm_record
 from sparsesim.simulator import Simulator
 from sparsesim.state import PairwiseBlock
 
@@ -273,3 +274,67 @@ def test_scheduler_transparency_on_random_programs():
         assert set(d_on) == set(d_off)
         for b in d_on:
             assert d_on[b] == pytest.approx(d_off[b], abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [ops.h(0), ops.rx(0.3, 0), ops.ry(0.3, 0, (1,)), GateOp("pexp", (0, 1), (), 0.3, ("X", "Z")),
+     GateOp("pexp", (0,), (1,), 0.3, ("Y",)), GateOp("mz", (0,))],
+    ids=["h", "rx", "cry", "pexp_XZ", "cpexp_Y", "mz"],
+)
+def test_lower_rejects_gates_without_a_queue_record(op):
+    with pytest.raises(ValueError, match="no queue record"):
+        lower([ops.cx(0, 1), op], 2)
+
+
+def test_lower_validates_each_op():
+    with pytest.raises(ValueError, match="out of range"):
+        lower([ops.cx(0, 2)], 2)
+
+
+# Adder a=(0,1,2) into b=(3,4,5) with carry 6; qubit 7 is never touched by it.
+ADDER = ((0, 1, 2), (3, 4, 5), 6)
+ADDER_QUBITS = 8
+
+
+@pytest.mark.parametrize(
+    "prep,use_scheduler,fast",
+    [
+        ([ops.x(0), ops.x(2), ops.x(4), ops.cx(0, 5)], True, True),
+        ([ops.x(0), ops.h(3), ops.x(1)], True, False),
+        ([ops.x(0), ops.rx(0.4, 7), ops.x(5)], True, True),
+        ([ops.x(0), ops.h(3), ops.rx(0.4, 7)], False, False),
+    ],
+    ids=["no-slot", "pending-h-on-touched", "pending-rx-untouched", "scheduler-off"],
+)
+def test_apply_lowered_matches_apply_all(prep, use_scheduler, fast):
+    block = lower(cdkm_add(*ADDER), ADDER_QUBITS)
+    gated = Simulator(ADDER_QUBITS, seed=3, use_scheduler=use_scheduler)
+    lowered = Simulator(ADDER_QUBITS, seed=3, use_scheduler=use_scheduler)
+    for sim in (gated, lowered):
+        sim.apply_all(prep)
+    slots_before = dict(lowered.slots)
+    flushes_before = lowered.stats.flush_count
+    if fast:
+        def no_gate_path(ops):
+            raise AssertionError("the fast path must not dispatch gate by gate")
+
+        lowered.apply_all = no_gate_path
+    gated.apply_all(cdkm_add(*ADDER))
+    lowered.apply_lowered(block)
+    assert lowered.queue.records == gated.queue.records
+    assert lowered.stats == gated.stats
+    assert lowered.slots == gated.slots
+    if fast:
+        assert lowered.stats.flush_count == flushes_before
+        assert lowered.slots == slots_before
+    elif use_scheduler:
+        assert lowered.stats.flush_count > flushes_before
+    assert lowered.dump() == gated.dump()
+    assert lowered.stats == gated.stats
+
+
+def test_apply_lowered_rejects_a_block_wider_than_the_state():
+    block = lower(cdkm_add(*ADDER), ADDER_QUBITS)
+    with pytest.raises(ValueError, match="beyond"):
+        Simulator(ADDER_QUBITS - 2).apply_lowered(block)

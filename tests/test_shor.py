@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -200,6 +201,24 @@ def test_order_recovery_rate_against_classical_sampler():
     phi = sum(1 for k in range(1, order) if math.gcd(k, order) == 1)
     bound = 4 / math.pi**2 * phi / order
     assert hits / draws >= bound
+
+
+SIM_STATS_FIELDS = (
+    "gate_count", "flush_count", "gates_absorbed", "gates_enqueued",
+    "queue_executions", "parallel_executions", "measurement_count", "max_state_size",
+)
+
+
+@pytest.mark.parametrize(
+    "mbu,values",
+    [(False, (86947, 34, 34, 86913, 27, 0, 17, 120)), (True, (69548, 307, 306, 69242, 301, 0, 289, 120))],
+    ids=["coherent", "mbu"],
+)
+def test_factor_143_seed1_sim_stats(mbu, values):
+    # Every counter of one seed-1 attempt, in field order: the lowered adder must count as the gate path does.
+    res = shor.run_factoring(shor.FactoringInstance.build(143, "cdkm"), seed=1, mbu=mbu)
+    assert res.factors == (11, 13)
+    assert list(dataclasses.asdict(res.sim_stats).items()) == list(zip(SIM_STATS_FIELDS, values))
 
 
 def test_factoring_n15_table_row():

@@ -16,7 +16,7 @@ import random
 import numpy as np
 
 from .ir import Conditional, GateOp, Program, pauli_masks, qubit_mask, validate_op
-from .state import SparseState
+from .state import SparseState, draw_branch
 
 DENSE_MAX_QUBITS = 20
 
@@ -131,10 +131,7 @@ class DenseState:
         weights = np.abs(self.vec) ** 2
         total = float(weights.sum())
         p_even = float(weights[~odd].sum())
-        outcome = 0 if self.rng.random() * total < p_even else 1  # same rule as SparseState.measure
-        p_branch = p_even if outcome == 0 else total - p_even
-        if p_branch <= 0.0:
-            raise RuntimeError("measured branch has vanishing probability")
+        outcome, p_branch = draw_branch(self.rng.random(), p_even, total)  # same rule as SparseState.measure
         keep = odd if outcome else ~odd
         self.vec = np.where(keep, self.vec / math.sqrt(p_branch), 0.0)
         self.measurements.append(outcome)

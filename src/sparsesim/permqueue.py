@@ -4,16 +4,17 @@ Gates with exactly one nonzero matrix entry per row act on a basis term as
 ``G(amp|b>) = f(b) * amp * |g(b)>`` for a unit-modulus phase ``f`` and a
 label bijection ``g``.  Such gates compose by chaining, so a whole queue
 is applied in one pass over the state map, amortizing map lookups,
-insertions, and initialization.  There are two evaluators of a queue:
+insertions, and initialization.
 
-* ``_eval_items`` walks maps under 64 entries entry by entry.
-* ``_eval_planes`` takes every larger map, at any label width up to
-  ``MAX_QUBITS``.  It holds the labels as uint64 columns.  Phase records
-  before the first label-moving record (FLIP, PAULIY, BITSWAP) act on those
-  words; from that record on, each touched qubit is a bit-plane over the
-  entries (Biham 1997, "A fast new DES implementation in software"), so a
-  Toffoli is ``plane[t] ^= plane[c1] & plane[c2]`` and a phase multiplies
-  the amplitudes at the set bits of its condition plane.
+One evaluator, ``_run_planes``, applies every queue bit-sliced (Biham 1997,
+"A fast new DES implementation in software"): each touched qubit ``q`` is
+a Python-int plane whose bit ``i`` is bit ``q`` of entry ``i``'s label, so
+a Toffoli is ``plane[t] ^= plane[c1] & plane[c2]``.  Two builders feed it:
+
+* ``_eval_small``, for maps under ``_VECTOR_MIN_STATES`` entries, builds
+  the planes from the labels' set bits in pure Python.
+* ``_eval_planes`` holds larger maps' labels as uint64 columns, at any
+  width up to ``MAX_QUBITS``, and transposes the planes out of them.
 
 Long queues on large maps are split into contiguous runs of entries, one
 per worker.  The entries keep their order, so the result is the same for
@@ -44,7 +45,7 @@ BITSWAP = 4
 
 _MOVERS = (FLIP, PAULIY, BITSWAP)
 
-# Maps at least this large are evaluated bit-sliced; smaller ones per entry.
+# Maps at least this large hold their labels as numpy columns; smaller ones as a list.
 _VECTOR_MIN_STATES = 64
 
 # Labels are held as little-endian uint64 columns of 64 bits each.
@@ -106,31 +107,6 @@ class PhasePermQueue:
 
     def clear(self) -> None:
         self.records = []
-
-
-def _eval_items(records: list[PhasePermRecord], items: list[tuple[int, complex]]) -> list[tuple[int, complex]]:
-    # CPython's fast unpacking takes exact tuples only; unpacking the NamedTuples
-    # made this loop 1.4-1.8x slower (CPython 3.11, 200 records, 67-bit labels).
-    recs = [tuple(r) for r in records]
-    out = []
-    for b, amp in items:
-        for kind, ctrl, mask, mask2, pe, po in recs:
-            if b & ctrl != ctrl:
-                continue
-            if kind == FLIP:
-                b = b ^ mask
-            elif kind == PHASE:
-                amp = amp * pe
-            elif kind == ZPARITY:
-                amp = amp * (po if (b & mask).bit_count() & 1 else pe)
-            elif kind == PAULIY:
-                amp = amp * (po if b & mask else pe)
-                b = b ^ mask
-            else:  # BITSWAP
-                if bool(b & mask) != bool(b & mask2):
-                    b = b ^ (mask | mask2)
-        out.append((b, amp))
-    return out
 
 
 def _scale(amps: np.ndarray, sel: np.ndarray | None, phase: complex) -> None:
@@ -218,8 +194,6 @@ def _rows(mask: int) -> list[int]:
 
 def _bits(mask: int) -> list[int]:
     """The single-bit masks ``1 << q`` of the set bits of ``mask``."""
-    if not mask & (mask - 1):
-        return [mask] if mask else []
     out = []
     while mask:
         bit = mask & -mask
@@ -228,46 +202,20 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def _eval_planes(records: list[PhasePermRecord], words: list[np.ndarray], amps: np.ndarray) -> None:
-    """Apply ``records`` in place to one run of entries, bit-sliced.
+def _touched(recs: list[tuple]) -> int:
+    """The bits that any record reads or writes."""
+    touched = 0
+    for r in recs:
+        touched |= r[1] | r[2] | r[3]
+    return touched
 
-    ``words[c]`` holds bits 64c .. 64c+63 of each entry's label; the entry
-    order never changes.  From the first label-moving record on, every
-    touched qubit ``q`` is a Python-int plane whose bit ``i`` is bit ``q``
-    of entry ``i``'s label; planes of moved qubits go back into the words.
+
+def _run_planes(recs: list[tuple], planes: dict[int, int], full: int, scale) -> None:
+    """Apply ``recs`` to the planes (keyed ``1 << q``; ``full`` has a bit per entry) in queue order.
+
+    ``scale(sel, phase)`` multiplies the amplitudes of the entries at the set bits of ``sel``.
     """
-    n = len(amps)
-    if n == 0:
-        return
-    recs = [tuple(r) for r in records]
-    first = next((i for i, r in enumerate(recs) if r[0] in _MOVERS), len(recs))
-    for kind, ctrl, mask, _, pe, po in recs[:first]:
-        sel = _word_select(words, ctrl)
-        if kind == PHASE:
-            _scale(amps, sel, pe)
-        else:  # ZPARITY
-            odd = _word_parity(words, mask)
-            _scale(amps, ~odd if sel is None else sel & ~odd, pe)
-            _scale(amps, odd if sel is None else sel & odd, po)
-    if first == len(recs):
-        return
-
-    touched = moved = 0
-    for kind, ctrl, mask, mask2, _, _ in recs[first:]:
-        touched |= ctrl | mask | mask2
-        if kind in _MOVERS:
-            moved |= mask | mask2
-    planes: dict[int, int] = {}  # keyed by the qubit's bit, 1 << q
-    for row in _rows(touched):
-        _to_planes(words, row, planes)
-
-    full = (1 << n) - 1
-
-    def scale(sel: int, phase: complex) -> None:
-        if sel:
-            _scale(amps, None if sel == full else _plane_select(sel, n), phase)
-
-    for kind, ctrl, mask, mask2, pe, po in recs[first:]:
+    for kind, ctrl, mask, mask2, pe, po in recs:
         cond = full
         while ctrl:
             bit = ctrl & -ctrl
@@ -276,8 +224,11 @@ def _eval_planes(records: list[PhasePermRecord], words: list[np.ndarray], amps: 
         if not cond:
             continue
         if kind == FLIP:
-            for bit in _bits(mask):
-                planes[bit] ^= cond
+            if mask & (mask - 1):
+                for bit in _bits(mask):
+                    planes[bit] ^= cond
+            else:
+                planes[mask] ^= cond
         elif kind == PHASE:
             scale(cond, pe)
         elif kind == ZPARITY:
@@ -294,8 +245,69 @@ def _eval_planes(records: list[PhasePermRecord], words: list[np.ndarray], amps: 
             swap = (planes[mask] ^ planes[mask2]) & cond
             planes[mask] ^= swap
             planes[mask2] ^= swap
-    for row in _rows(moved):
+
+
+def _eval_planes(recs: list[tuple], words: list[np.ndarray], amps: np.ndarray) -> None:
+    """Apply ``recs`` in place to one run of entries; ``words[c]`` holds bits 64c .. 64c+63 of each label.
+
+    Phase records before the first label-moving record (FLIP, PAULIY, BITSWAP)
+    act on the words; the rest run on planes, and changed byte rows go back.
+    """
+    n = len(amps)
+    if n == 0:
+        return
+    first = next((i for i, r in enumerate(recs) if r[0] in _MOVERS), len(recs))
+    for kind, ctrl, mask, _, pe, po in recs[:first]:
+        sel = _word_select(words, ctrl)
+        if kind == PHASE:
+            _scale(amps, sel, pe)
+        else:  # ZPARITY
+            odd = _word_parity(words, mask)
+            _scale(amps, ~odd if sel is None else sel & ~odd, pe)
+            _scale(amps, odd if sel is None else sel & odd, po)
+    if first == len(recs):
+        return
+
+    planes: dict[int, int] = {}
+    for row in _rows(_touched(recs[first:])):
+        _to_planes(words, row, planes)
+    old = planes.copy()
+    full = (1 << n) - 1
+
+    def scale(sel: int, phase: complex) -> None:
+        if sel:
+            _scale(amps, None if sel == full else _plane_select(sel, n), phase)
+
+    _run_planes(recs[first:], planes, full, scale)
+    for row in _rows(sum(bit for bit, plane in planes.items() if plane != old[bit])):
         _from_planes(words, row, planes)
+
+
+def _eval_small(recs: list[tuple], labels: list[int], amps: list[complex]) -> None:
+    """Apply ``recs`` in place to a small map held as two lists; only changed label bits are written back."""
+    touched = _touched(recs)
+    planes = dict.fromkeys(_bits(touched), 0)
+    for i, b in enumerate(labels):
+        b &= touched
+        while b:
+            bit = b & -b
+            planes[bit] |= 1 << i
+            b ^= bit
+    old = planes.copy()
+
+    def scale(sel: int, phase: complex) -> None:
+        while sel:
+            low = sel & -sel
+            amps[low.bit_length() - 1] *= phase
+            sel ^= low
+
+    _run_planes(recs, planes, (1 << len(amps)) - 1, scale)
+    for bit, plane in planes.items():
+        diff = plane ^ old[bit]
+        while diff:
+            low = diff & -diff
+            labels[low.bit_length() - 1] ^= bit
+            diff ^= low
 
 
 def _label_words(keys, n: int, touched: int) -> list[np.ndarray]:
@@ -330,10 +342,9 @@ def execute(
     Each entry ``(b, amp)`` contributes ``(g(b), f(b) * amp)`` to the new
     map; permutations are bijections and phases have unit modulus, so the
     entry count is preserved exactly.  The pass is split across workers
-    only when the queue is longer than ``par_min_queue`` AND the state
-    holds more than ``par_min_states`` entries AND more than one thread is
-    budgeted; maps under 64 entries are always evaluated whole.  The
-    result is identical either way.
+    only when the queue is longer than ``par_min_queue`` AND the state holds
+    more than ``par_min_states`` entries AND more than one thread is
+    budgeted; maps under 64 entries never are.  The result is identical either way.
     """
     records = queue.records
     queue.clear()
@@ -341,32 +352,29 @@ def execute(
         return state
 
     n_states = len(state.amps)
-    parallel = (
-        thread_budget > 1
-        and len(records) > par_min_queue
-        and n_states > par_min_states
-    )
+    parallel = thread_budget > 1 and len(records) > par_min_queue and n_states > par_min_states
 
     if stats is not None:
         stats.queue_executions += 1
-        if parallel:
-            stats.parallel_executions += 1
+        stats.parallel_executions += parallel
 
+    # CPython's fast unpacking takes exact tuples only; unpacking the NamedTuples
+    # made the record loop 1.4-1.8x slower (CPython 3.11, 200 records, 67-bit labels).
+    recs = [tuple(r) for r in records]
     if n_states < _VECTOR_MIN_STATES:
-        return SparseState(state.num_qubits, dict(_eval_items(records, list(state.amps.items()))))
+        labels, amps = list(state.amps), list(state.amps.values())
+        _eval_small(recs, labels, amps)
+        return SparseState(state.num_qubits, dict(zip(labels, amps)))
 
     keys = state.amps.keys()
-    touched = 0
-    for r in records:
-        touched |= r.control_mask | r.mask | r.mask2
-    words = _label_words(keys, n_states, touched)
+    words = _label_words(keys, n_states, _touched(recs))
     amps = np.fromiter(state.amps.values(), dtype=np.complex128, count=n_states)
     if parallel:
         bounds = np.linspace(0, n_states, thread_budget + 1, dtype=int).tolist()
         chunks = [slice(bounds[i], bounds[i + 1]) for i in range(thread_budget)]
         with concurrent.futures.ThreadPoolExecutor(max_workers=thread_budget) as pool:
-            list(pool.map(lambda c: _eval_planes(records, [w[c] for w in words], amps[c]), chunks))
+            list(pool.map(lambda c: _eval_planes(recs, [w[c] for w in words], amps[c]), chunks))
     else:
-        _eval_planes(records, words, amps)
-    labels = _labels(words) if any(r.kind in _MOVERS for r in records) else keys
+        _eval_planes(recs, words, amps)
+    labels = _labels(words) if any(r[0] in _MOVERS for r in recs) else keys
     return SparseState(state.num_qubits, dict(zip(labels, amps.tolist())))

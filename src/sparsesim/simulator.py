@@ -146,7 +146,7 @@ class Simulator:
         if scheduler.is_pairwise(op):
             self._apply_pairwise(scheduler.pairwise_block(op), qubit_mask(op.controls))
             return
-        # One-record queue: the same evaluators as a scheduled flush, without its counters.
+        # One-record queue: the same evaluator as a scheduled flush, without its counters.
         queue = PhasePermQueue()
         queue.enqueue(scheduler.phase_perm_record(op))
         self._set_state(permqueue.execute(queue, self.state))

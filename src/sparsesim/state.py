@@ -88,6 +88,19 @@ def pauli_exp_block(x_mask: int, y_mask: int, z_mask: int, theta: float) -> Pair
     return PairwiseBlock(m, sign_mask, (c, base_hi, base, c), (c, -base_hi, -base, c))
 
 
+def draw_branch(u: float, p_even: float, total: float) -> tuple[int, float]:
+    """Outcome drawn by the uniform ``u`` (even iff ``u < p_even / total``) and its branch's squared norm.
+
+    A branch of squared norm at most ``PRUNE_EPS**2`` is never drawn; if both are, ``RuntimeError``.
+    """
+    p_odd = total - p_even
+    tiny = PRUNE_EPS**2
+    if max(p_even, p_odd) <= tiny:
+        raise RuntimeError("measured branch has vanishing probability")
+    outcome = int(p_even <= tiny or (p_odd > tiny and u * total >= p_even))
+    return outcome, p_odd if outcome else p_even
+
+
 class SparseState:
     """Associative-map wavefunction: label -> amplitude, plus qubit count."""
 
@@ -154,11 +167,9 @@ class SparseState:
         return SparseState(self.num_qubits, out)
 
     def measure(self, qubits: Iterable[int], rng) -> tuple[MeasurementOutcome, "SparseState"]:
-        """Joint Z-product measurement over ``qubits``.
+        """Joint Z-product measurement over ``qubits``; one uniform from ``rng`` picks the branch by ``draw_branch``.
 
-        Draws one uniform from ``rng``; outcome is the even-parity branch
-        iff the draw lands below its share of the squared norm.  The
-        surviving branch is renormalized.  Deterministic given the seed stream.
+        The surviving branch is renormalized.  Deterministic given the seed stream.
         """
         mask = qubit_mask(qubits)
         p_even = 0.0
@@ -168,11 +179,7 @@ class SparseState:
             total += w
             if not (b & mask).bit_count() & 1:
                 p_even += w
-        # u < p_even / total, written so an empty map reports a vanishing branch.
-        outcome = 0 if rng.random() * total < p_even else 1
-        p_branch = p_even if outcome == 0 else total - p_even
-        if p_branch <= 0.0:
-            raise RuntimeError("measured branch has vanishing probability")
+        outcome, p_branch = draw_branch(rng.random(), p_even, total)
         scale = 1.0 / math.sqrt(p_branch)
         out = {
             b: amp * scale

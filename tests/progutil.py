@@ -2,7 +2,9 @@
 
 import random
 
-from sparsesim.ir import GateOp, Program
+from hypothesis import strategies as st
+
+from sparsesim.ir import Conditional, GateOp, Program
 
 _SINGLE = ["x", "y", "z", "h", "s", "sdg", "t", "tdg"]
 _ROT = ["r1", "rx", "ry", "rz"]
@@ -47,3 +49,27 @@ def random_program(seed: int, max_qubits: int = 12, max_gates: int = 200) -> Pro
     n = rng.randint(2, max_qubits)
     count = rng.randint(10, max_gates)
     return Program(n, [random_gate(rng, n) for _ in range(count)])
+
+
+@st.composite
+def conditional_programs(draw, max_qubits: int = 10, max_len: int = 40) -> Program:
+    """Programs of ``random_gate`` entries, measurements and ``if c<k> == v`` entries.
+
+    Hypothesis picks the entry kinds, the measurement each conditional reads
+    and its value; a drawn seed picks the gates.
+    """
+    n = draw(st.integers(2, max_qubits))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ops: list = []
+    measured = 0
+    for step in draw(st.lists(st.sampled_from(("gate", "mz", "if")), min_size=1, max_size=max_len)):
+        if step == "mz":
+            op = GateOp("mz", tuple(rng.sample(range(n), rng.randint(1, 2))))
+        else:
+            op = random_gate(rng, n)
+        if step == "if" and measured and op.kind != "mz":
+            ops.append(Conditional(draw(st.integers(0, measured - 1)), draw(st.integers(0, 1)), op))
+            continue
+        measured += op.kind == "mz"
+        ops.append(op)
+    return Program(n, ops)

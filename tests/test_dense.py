@@ -4,6 +4,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsesim import ops
 from sparsesim.dense import DenseState, compare, run_dense_program
@@ -12,7 +13,7 @@ from sparsesim.simulator import Simulator, run_program
 from sparsesim.state import SparseState
 
 sys.path.insert(0, str(Path(__file__).parent))
-from progutil import random_program
+from progutil import conditional_programs, random_program
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -54,6 +55,23 @@ def test_measure_draw_compared_against_normalised_probability():
     assert dense.vec[0] == pytest.approx(1.0)
 
 
+def test_measure_never_draws_a_vanishing_branch():
+    # Even weight 1e-24 = PRUNE_EPS**2: a draw of 0.0 still selects the odd branch, unscaled.
+    dense = DenseState(1)
+    dense.vec[:] = [1e-12, 1.0]
+    dense.rng = SimpleNamespace(random=lambda: 0.0)
+    assert dense.measure([0]) == 1
+    assert list(dense.vec) == [0.0, 1.0]
+
+
+def test_measure_raises_when_both_branches_vanish():
+    dense = DenseState(1)
+    dense.vec[:] = [1e-13, 1e-13]
+    dense.rng = SimpleNamespace(random=lambda: 0.5)
+    with pytest.raises(RuntimeError, match="vanishing probability"):
+        dense.measure([0])
+
+
 @pytest.mark.parametrize("axes,qubits", [("XQ", [0, 1]), ("Q", [0])])
 def test_unknown_pauli_axis_rejected_by_both_simulators(axes, qubits):
     op = ops.pexp(0.7, axes, qubits)
@@ -88,4 +106,13 @@ def test_random_ten_qubit_program_deviation():
     res = run_program(prog, seed=987)
     sparse = SparseState(prog.num_qubits, dict(res.dump))
     assert compare(dense, sparse) <= 1e-10
+    assert dense.measurements == res.measurements
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(conditional_programs(), st.integers(0, 2**16))
+def test_conditional_programs_match_dense_oracle(prog, seed):
+    dense = run_dense_program(prog, seed=seed)
+    res = run_program(prog, seed=seed)
+    assert compare(dense, SparseState(prog.num_qubits, dict(res.dump))) <= 1e-10
     assert dense.measurements == res.measurements

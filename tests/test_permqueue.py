@@ -1,8 +1,11 @@
 import cmath
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sparsesim import permqueue
 from sparsesim.permqueue import (
@@ -17,6 +20,9 @@ from sparsesim.permqueue import (
 from sparsesim.simulator import SimStats, Simulator
 from sparsesim.state import SparseState
 from sparsesim import ops
+
+sys.path.insert(0, str(Path(__file__).parent))
+from scalar_ref import eval_items
 
 
 def make_state(n, entries):
@@ -203,8 +209,8 @@ def test_thread_count_independence_large_state():
     ],
 )
 def test_vector_and_fallback_paths_agree(monkeypatch, n, label_bits, size, count, planes):
-    # execute against the scalar evaluator on each side of its path choice:
-    # maps of at least 64 entries are evaluated bit-sliced at any label width.
+    # execute against the scalar reference on each side of the plane builders'
+    # boundary: maps of at least 64 entries hold their labels as numpy columns.
     rng = random.Random(7)
     labels = set()
     while len(labels) < size:
@@ -220,12 +226,73 @@ def test_vector_and_fallback_paths_agree(monkeypatch, n, label_bits, size, count
     for r in recs:
         q.enqueue(r)
     got = execute(q, state).amps
-    want = permqueue._eval_items(recs, list(state.amps.items()))
+    want = eval_items(recs, list(state.amps.items()))
 
     assert bool(plane_calls) is planes
     assert list(got) == [b for b, _ in want]
+    if not planes:
+        assert list(got.values()) == [amp for _, amp in want]
     for b, amp in want:
         assert got[b] == pytest.approx(amp, abs=1e-15)
+
+
+_WIDTHS = (10, 62, 63, 65, 128)
+
+
+@st.composite
+def _record(draw, width):
+    qubit = st.integers(0, width - 1)
+    kind = draw(st.sampled_from((permqueue.FLIP, permqueue.PHASE, permqueue.ZPARITY, permqueue.PAULIY, permqueue.BITSWAP)))
+    if kind == permqueue.BITSWAP:
+        targets = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+    elif kind in (permqueue.FLIP, permqueue.ZPARITY):
+        targets = draw(st.lists(qubit, min_size=1, max_size=4, unique=True))
+    else:
+        targets = [draw(qubit)]
+    ctrl = 0
+    for q in draw(st.lists(qubit, max_size=3, unique=True)):
+        if q not in targets:
+            ctrl |= 1 << q
+    mask = sum(1 << q for q in targets)
+    phase = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+    if kind == permqueue.FLIP:
+        return flip_record(mask, ctrl)
+    if kind == permqueue.PHASE:
+        return phase_record(phase, ctrl | mask)
+    if kind == permqueue.ZPARITY:
+        return zparity_record(mask, phase, phase.conjugate(), ctrl)
+    if kind == permqueue.PAULIY:
+        return pauli_y_record(targets[0], ctrl)
+    return bitswap_record(targets[0], targets[1], ctrl)
+
+
+@st.composite
+def _queue_and_state(draw):
+    width = draw(st.sampled_from(_WIDTHS))
+    size = draw(st.one_of(st.sampled_from((63, 64)), st.integers(1, 200)))
+    labels = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=size, max_size=size, unique=True))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    records = draw(st.lists(_record(width), min_size=1, max_size=40))
+    return records, normalized_state(rng, width, labels)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(_queue_and_state())
+def test_execute_matches_scalar_reference(case):
+    # Every record kind, with controls and multi-bit masks, on both plane
+    # builders: labels and their order exactly; amplitudes exactly on the
+    # pure-Python builder, to 1e-15 on the numpy one.
+    records, state = case
+    q = PhasePermQueue()
+    q.records.extend(records)
+    got = execute(q, state).amps
+    want = eval_items(records, list(state.amps.items()))
+    assert list(got) == [b for b, _ in want]
+    if len(want) < 64:
+        assert list(got.values()) == [amp for _, amp in want]
+    else:
+        for b, amp in want:
+            assert got[b] == pytest.approx(amp, abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -250,7 +317,7 @@ def test_parallel_gating_thresholds(queue_len, n_states, threads, expect_paralle
 
 
 def test_wide_labels_use_python_fallback():
-    # 70-bit labels; the two-entry map takes the scalar path at any width.
+    # 70-bit labels; the two-entry map takes the pure-Python plane builder at any width.
     sim = Simulator(70, seed=1)
     sim.apply(ops.h(0))
     for q in range(1, 70):

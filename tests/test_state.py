@@ -143,6 +143,24 @@ def test_measure_draw_compared_against_normalised_probability():
     assert amps(post) == {0: pytest.approx(1.0)}
 
 
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.999])
+def test_measure_never_draws_a_vanishing_branch(u):
+    # The even branch weighs PRUNE_EPS**2: no draw selects it, so nothing is scaled by 1e12.
+    s = SparseState(1, {0: complex(PRUNE_EPS), 1: 1 + 0j})
+    out, post = s.measure([0], FixedRng(u))
+    assert out.result == 1
+    assert amps(post) == {1: 1 + 0j}
+    out, post = SparseState(1, {0: 1 + 0j, 1: complex(PRUNE_EPS)}).measure([0], FixedRng(u))
+    assert out.result == 0
+    assert amps(post) == {0: 1 + 0j}
+
+
+@pytest.mark.parametrize("entries", [{}, {0: 1e-13 + 0j, 1: 1e-13 + 0j}])
+def test_measure_raises_when_both_branches_vanish(entries):
+    with pytest.raises(RuntimeError, match="vanishing probability"):
+        SparseState(1, entries).measure([0], FixedRng(0.5))
+
+
 def test_norm_and_size_bookkeeping():
     s = new_wavefunction(2)
     assert s.norm_sq() == pytest.approx(1.0)

@@ -9,7 +9,7 @@ from .ir import (
     format_program,
     parse_circuit,
 )
-from .permqueue import PhasePermQueue, PhasePermRecord
+from .permqueue import PhasePermQueue
 from .simulator import RunResult, RunStats, SimStats, Simulator, run_program
 from .state import (
     MAX_QUBITS,
@@ -30,7 +30,6 @@ __all__ = [
     "PRUNE_EPS",
     "PairwiseBlock",
     "PhasePermQueue",
-    "PhasePermRecord",
     "Program",
     "RunResult",
     "RunStats",

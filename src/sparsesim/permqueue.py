@@ -17,20 +17,21 @@ a Toffoli is ``plane[t] ^= plane[c1] & plane[c2]``.  Two builders feed it:
   width up to ``MAX_QUBITS``, and transposes the planes out of them.
 
 Long queues on large maps are split into contiguous runs of entries, one
-per worker.  The entries keep their order, so the result is the same for
-any worker count.
+per worker, with at most one worker per CPU.  The entries keep their order,
+so the result is the same for any worker count.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-from typing import NamedTuple
+import os
 
 import numpy as np
 
 from .state import SparseState
 
-# Record kinds.  Each record is a single-nonzero-entry-per-row gate:
+# A record is a plain tuple (kind, control_mask, mask, mask2, phase_even, phase_odd), so the
+# record loop unpacks it without a copy.  Each is a single-nonzero-entry-per-row gate:
 #   FLIP     g(b) = b ^ mask                        f = 1
 #   PHASE    g(b) = b                               f = phase_even
 #   ZPARITY  g(b) = b                               f = phase_even / phase_odd by parity(b & mask)
@@ -61,34 +62,25 @@ DEFAULT_PAR_MIN_QUEUE = 64
 DEFAULT_PAR_MIN_STATES = 4096
 
 
-class PhasePermRecord(NamedTuple):
-    kind: int
-    control_mask: int
-    mask: int
-    mask2: int = 0
-    phase_even: complex = 1 + 0j
-    phase_odd: complex = 1 + 0j
+def flip_record(xor_mask: int, control_mask: int = 0) -> tuple:
+    return (FLIP, control_mask, xor_mask, 0, 1 + 0j, 1 + 0j)
 
 
-def flip_record(xor_mask: int, control_mask: int = 0) -> PhasePermRecord:
-    return PhasePermRecord(FLIP, control_mask, xor_mask)
+def phase_record(phase: complex, control_mask: int = 0) -> tuple:
+    return (PHASE, control_mask, 0, 0, phase, 1 + 0j)
 
 
-def phase_record(phase: complex, control_mask: int = 0) -> PhasePermRecord:
-    return PhasePermRecord(PHASE, control_mask, 0, phase_even=phase)
+def zparity_record(z_mask: int, phase_even: complex, phase_odd: complex, control_mask: int = 0) -> tuple:
+    return (ZPARITY, control_mask, z_mask, 0, phase_even, phase_odd)
 
 
-def zparity_record(z_mask: int, phase_even: complex, phase_odd: complex, control_mask: int = 0) -> PhasePermRecord:
-    return PhasePermRecord(ZPARITY, control_mask, z_mask, phase_even=phase_even, phase_odd=phase_odd)
-
-
-def pauli_y_record(target: int, control_mask: int = 0) -> PhasePermRecord:
+def pauli_y_record(target: int, control_mask: int = 0) -> tuple:
     # +i when the target bit reads 0 before the flip, -i when it reads 1.
-    return PhasePermRecord(PAULIY, control_mask, 1 << target, phase_even=1j, phase_odd=-1j)
+    return (PAULIY, control_mask, 1 << target, 0, 1j, -1j)
 
 
-def bitswap_record(qubit_i: int, qubit_j: int, control_mask: int = 0) -> PhasePermRecord:
-    return PhasePermRecord(BITSWAP, control_mask, 1 << qubit_i, 1 << qubit_j)
+def bitswap_record(qubit_i: int, qubit_j: int, control_mask: int = 0) -> tuple:
+    return (BITSWAP, control_mask, 1 << qubit_i, 1 << qubit_j, 1 + 0j, 1 + 0j)
 
 
 class PhasePermQueue:
@@ -97,12 +89,12 @@ class PhasePermQueue:
     __slots__ = ("records",)
 
     def __init__(self) -> None:
-        self.records: list[PhasePermRecord] = []
+        self.records: list[tuple] = []
 
     def __len__(self) -> int:
         return len(self.records)
 
-    def enqueue(self, record: PhasePermRecord) -> None:
+    def enqueue(self, record: tuple) -> None:
         self.records.append(record)
 
     def clear(self) -> None:
@@ -247,16 +239,16 @@ def _run_planes(recs: list[tuple], planes: dict[int, int], full: int, scale) -> 
             planes[mask2] ^= swap
 
 
-def _eval_planes(recs: list[tuple], words: list[np.ndarray], amps: np.ndarray) -> None:
+def _eval_planes(recs: list[tuple], first: int, touched: int, words: list[np.ndarray], amps: np.ndarray) -> None:
     """Apply ``recs`` in place to one run of entries; ``words[c]`` holds bits 64c .. 64c+63 of each label.
 
-    Phase records before the first label-moving record (FLIP, PAULIY, BITSWAP)
-    act on the words; the rest run on planes, and changed byte rows go back.
+    ``recs[:first]`` are phase records before the first label-moving record
+    (FLIP, PAULIY, BITSWAP) and act on the words; the rest run on planes of
+    the rows of ``touched``, and changed byte rows go back.
     """
     n = len(amps)
     if n == 0:
         return
-    first = next((i for i, r in enumerate(recs) if r[0] in _MOVERS), len(recs))
     for kind, ctrl, mask, _, pe, po in recs[:first]:
         sel = _word_select(words, ctrl)
         if kind == PHASE:
@@ -269,7 +261,7 @@ def _eval_planes(recs: list[tuple], words: list[np.ndarray], amps: np.ndarray) -
         return
 
     planes: dict[int, int] = {}
-    for row in _rows(_touched(recs[first:])):
+    for row in _rows(touched):
         _to_planes(words, row, planes)
     old = planes.copy()
     full = (1 << n) - 1
@@ -283,9 +275,8 @@ def _eval_planes(recs: list[tuple], words: list[np.ndarray], amps: np.ndarray) -
         _from_planes(words, row, planes)
 
 
-def _eval_small(recs: list[tuple], labels: list[int], amps: list[complex]) -> None:
+def _eval_small(recs: list[tuple], touched: int, labels: list[int], amps: list[complex]) -> None:
     """Apply ``recs`` in place to a small map held as two lists; only changed label bits are written back."""
-    touched = _touched(recs)
     planes = dict.fromkeys(_bits(touched), 0)
     for i, b in enumerate(labels):
         b &= touched
@@ -344,7 +335,8 @@ def execute(
     entry count is preserved exactly.  The pass is split across workers
     only when the queue is longer than ``par_min_queue`` AND the state holds
     more than ``par_min_states`` entries AND more than one thread is
-    budgeted; maps under 64 entries never are.  The result is identical either way.
+    budgeted; maps under 64 entries never are.  It uses at most one worker
+    per CPU.  The result is identical either way.
     """
     records = queue.records
     queue.clear()
@@ -358,23 +350,23 @@ def execute(
         stats.queue_executions += 1
         stats.parallel_executions += parallel
 
-    # CPython's fast unpacking takes exact tuples only; unpacking the NamedTuples
-    # made the record loop 1.4-1.8x slower (CPython 3.11, 200 records, 67-bit labels).
-    recs = [tuple(r) for r in records]
+    touched = _touched(records)
     if n_states < _VECTOR_MIN_STATES:
         labels, amps = list(state.amps), list(state.amps.values())
-        _eval_small(recs, labels, amps)
+        _eval_small(records, touched, labels, amps)
         return SparseState(state.num_qubits, dict(zip(labels, amps)))
 
+    first = next((i for i, r in enumerate(records) if r[0] in _MOVERS), len(records))
     keys = state.amps.keys()
-    words = _label_words(keys, n_states, _touched(recs))
+    words = _label_words(keys, n_states, touched)
     amps = np.fromiter(state.amps.values(), dtype=np.complex128, count=n_states)
     if parallel:
-        bounds = np.linspace(0, n_states, thread_budget + 1, dtype=int).tolist()
-        chunks = [slice(bounds[i], bounds[i + 1]) for i in range(thread_budget)]
-        with concurrent.futures.ThreadPoolExecutor(max_workers=thread_budget) as pool:
-            list(pool.map(lambda c: _eval_planes(recs, [w[c] for w in words], amps[c]), chunks))
+        workers = min(thread_budget, os.cpu_count() or 1)
+        bounds = np.linspace(0, n_states, workers + 1, dtype=int).tolist()
+        chunks = [slice(bounds[i], bounds[i + 1]) for i in range(workers)]
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda c: _eval_planes(records, first, touched, [w[c] for w in words], amps[c]), chunks))
     else:
-        _eval_planes(recs, words, amps)
-    labels = _labels(words) if any(r[0] in _MOVERS for r in recs) else keys
+        _eval_planes(records, first, touched, words, amps)
+    labels = _labels(words) if first < len(records) else keys
     return SparseState(state.num_qubits, dict(zip(labels, amps.tolist())))

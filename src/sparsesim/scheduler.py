@@ -32,7 +32,6 @@ from typing import NamedTuple
 
 from . import permqueue
 from .ir import GateOp, pauli_masks, qubit_mask, validate_op
-from .permqueue import PhasePermRecord
 from .state import PairwiseBlock, h_block, pauli_exp_block, rx_block, ry_block
 
 _MINUS_ONE = complex(-1.0, 0.0)
@@ -70,7 +69,7 @@ def pairwise_block(op: GateOp) -> PairwiseBlock:
     return pauli_exp_block(*pauli_masks(op.targets, op.axes), op.angle)
 
 
-def phase_perm_record(op: GateOp) -> PhasePermRecord:
+def phase_perm_record(op: GateOp) -> tuple:
     """The queue record of a gate for which ``is_pairwise`` does not hold."""
     kind = op.kind
     ctrl = qubit_mask(op.controls)
@@ -94,7 +93,7 @@ class Lowered(NamedTuple):
     """A validated gate sequence with its queue records and the mask of every qubit it touches."""
 
     ops: tuple[GateOp, ...]
-    records: tuple[PhasePermRecord, ...]
+    records: tuple[tuple, ...]
     mask: int
 
 

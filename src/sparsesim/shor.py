@@ -60,14 +60,18 @@ def carmichael(n: int) -> int:
     return lam
 
 
+def _reduce_to_order(x: int, g: int, n: int) -> int:
+    """Smallest divisor d of x with g^d = 1 (mod n); x must satisfy g^x = 1."""
+    for p in factorize(x):
+        while x % p == 0 and pow(g, x // p, n) == 1:
+            x //= p
+    return x
+
+
 def multiplicative_order(g: int, n: int) -> int:
     if math.gcd(g, n) != 1:
         raise ValueError(f"{g} is not a unit modulo {n}")
-    order = carmichael(n)
-    for p in factorize(order):
-        while order % p == 0 and pow(g, order // p, n) == 1:
-            order //= p
-    return order
+    return _reduce_to_order(carmichael(n), g, n)
 
 
 def max_order_generator(n: int) -> int:
@@ -110,28 +114,18 @@ def continued_fraction_order(j: int, phase_bits: int, g: int, n: int) -> int | N
     return None
 
 
-def _reduce_to_order(x: int, g: int, n: int) -> int:
-    """Smallest divisor d of x with g^d = 1 (mod n); x must satisfy g^x = 1."""
-    for p in factorize(x):
-        while x % p == 0 and pow(g, x // p, n) == 1:
-            x //= p
-    return x
-
-
 def order_from_phase(j: int, phase_bits: int, g: int, n: int, max_multiple: int = 128) -> int | None:
     """Order recovery used by the drivers.
 
-    Tries the plain convergents first; when the sampled eigenvalue index
-    shares a factor with the order, the convergent denominator is only a
-    divisor of it, so small multiples of the denominators are also tested.
+    When the sampled eigenvalue index shares a factor with the order, a
+    convergent denominator is only a divisor of it, so small multiples of the
+    denominators are tested too.  Any multiple of the order reduces to the
+    order itself, so the first one found gives the answer.
     """
-    order = continued_fraction_order(j, phase_bits, g, n)
-    if order is not None:
-        return _reduce_to_order(order, g, n)
     if j == 0:
         return None
-    for k in reversed(_convergent_denominators(j, phase_bits, n)):
-        for t in range(2, max_multiple + 1):
+    for k in _convergent_denominators(j, phase_bits, n):
+        for t in range(1, max_multiple + 1):
             if k * t >= n:
                 break
             if pow(g, k * t, n) == 1:

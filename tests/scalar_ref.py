@@ -5,10 +5,9 @@ from sparsesim.permqueue import FLIP, PAULIY, PHASE, ZPARITY
 
 def eval_items(records, items):
     """Apply ``records`` to each ``(label, amp)`` of ``items`` in turn; the entry order is kept."""
-    recs = [tuple(r) for r in records]
     out = []
     for b, amp in items:
-        for kind, ctrl, mask, mask2, pe, po in recs:
+        for kind, ctrl, mask, mask2, pe, po in records:
             if b & ctrl != ctrl:
                 continue
             if kind == FLIP:

@@ -1,5 +1,7 @@
 import cmath
+import concurrent.futures
 import math
+import os
 import random
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sparsesim import permqueue
+from sparsesim.arithmetic import cdkm_add
 from sparsesim.permqueue import (
     PhasePermQueue,
     bitswap_record,
@@ -17,6 +20,7 @@ from sparsesim.permqueue import (
     phase_record,
     zparity_record,
 )
+from sparsesim.scheduler import lower
 from sparsesim.simulator import SimStats, Simulator
 from sparsesim.state import SparseState
 from sparsesim import ops
@@ -34,8 +38,7 @@ def test_enqueue_preserves_order_and_state():
     q.enqueue(phase_record(-1 + 0j, 0b100))  # Z on q2
     q.enqueue(flip_record(0b1000, 0b001))  # CNOT q0 -> q3
     assert len(q) == 2
-    assert q.records[0].kind == permqueue.PHASE
-    assert q.records[1].kind == permqueue.FLIP
+    assert q.records == [phase_record(-1 + 0j, 0b100), flip_record(0b1000, 0b001)]
 
 
 def test_enqueue_empty_and_many():
@@ -314,6 +317,116 @@ def test_parallel_gating_thresholds(queue_len, n_states, threads, expect_paralle
     stats = SimStats()
     execute(q, state, thread_budget=threads, stats=stats)
     assert (stats.parallel_executions == 1) is expect_parallel
+
+
+def test_split_workers_capped_at_cpu_count(monkeypatch):
+    # A budget far above the CPU count splits into one chunk per CPU; the fake
+    # pool maps serially, so no thread is started.
+    rng = random.Random(5)
+    n = 14
+    state = random_state(rng, n, 4097)
+    recs = random_records(rng, n, 200)[:65]
+    assert len(recs) == 65
+
+    def run(budget):
+        q = PhasePermQueue()
+        q.records.extend(recs)
+        stats = SimStats()
+        return execute(q, state, thread_budget=budget, stats=stats).dump(), stats.parallel_executions
+
+    serial, _ = run(1)
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.chunks = None
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            chunks = list(chunks)
+            self.chunks = len(chunks)
+            return map(fn, chunks)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+    capped, parallel = run(10_000)
+    assert parallel == 1
+    assert [(p.max_workers, p.chunks) for p in pools] == [(2, 2)]
+    assert capped == serial
+
+
+_PREFIX_ROW = 4  # qubits 32 .. 39
+
+
+def _phase_records(rng, qubits, count):
+    recs = []
+    for _ in range(count):
+        a, b, c = rng.sample(qubits, 3)
+        pe = cmath.exp(1j * rng.uniform(-3, 3))
+        recs.append(zparity_record((1 << a) | (1 << b), pe, pe.conjugate(), 1 << c))
+        recs.append(phase_record(cmath.exp(1j * rng.uniform(-3, 3)), (1 << a) | (1 << c)))
+    return recs
+
+
+def _large_map_queue(rng, n, shape):
+    row = range(8 * _PREFIX_ROW, 8 * _PREFIX_ROW + 8)
+    other = [q for q in range(n) if q not in row]
+    if shape == "phase-only":
+        return _phase_records(rng, list(range(n)), 10)
+    # A phase prefix on one byte row that no later record touches.
+    recs = _phase_records(rng, list(row), 5)
+    if shape == "prefix-flips":
+        for _ in range(20):
+            t, c = rng.sample(other, 2)
+            recs.append(flip_record(1 << t, 1 << c))
+    else:  # prefix, then BITSWAPs across the 64-bit word boundary
+        recs.append(bitswap_record(rng.randrange(32), rng.randrange(64, n)))
+        recs.append(bitswap_record(rng.randrange(32), rng.randrange(64, n), 1 << rng.randrange(32)))
+    return recs
+
+
+@pytest.mark.parametrize("shape", ["prefix-flips", "phase-only", "prefix-bitswap"])
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("label_bits", [40, 100])
+@pytest.mark.parametrize("size", [100, 5000])
+def test_large_map_phase_prefix_matches_scalar_reference(size, label_bits, threads, shape):
+    rng = random.Random(size * label_bits + threads)
+    n = 100
+    labels = set()
+    while len(labels) < size:
+        labels.add(rng.getrandbits(label_bits))
+    state = normalized_state(rng, n, sorted(labels))
+    recs = _large_map_queue(rng, n, shape)
+    q = PhasePermQueue()
+    q.records.extend(recs)
+    stats = SimStats()
+    got = execute(q, state, thread_budget=threads, par_min_queue=0, par_min_states=0, stats=stats).amps
+    want = eval_items(recs, list(state.amps.items()))
+    assert stats.parallel_executions == (threads > 1)
+    assert list(got) == [b for b, _ in want]
+    for b, amp in want:
+        assert got[b] == pytest.approx(amp, abs=1e-15)
+
+
+def test_queue_records_are_plain_six_tuples():
+    # The record loop unpacks each record; CPython's fast unpacking takes exact tuples only.
+    sim = Simulator(12)
+    sim.apply_all([ops.h(0), ops.cx(1, 0)])  # H then X: a CZ record
+    sim.apply_all([ops.h(2), ops.y(2)])  # H then Y: a Y record and a minus phase
+    sim.apply(ops.ccx(3, 4, 5))
+    block = lower(cdkm_add((6, 7), (8, 9), 10), 12)
+    sim.apply_lowered(block)
+    records = sim.queue.records
+    assert len(records) == 4 + len(block.records)
+    assert {r[0] for r in records} == {permqueue.FLIP, permqueue.PHASE, permqueue.PAULIY}
+    assert all(type(r) is tuple and len(r) == 6 for r in records)
 
 
 def test_wide_labels_use_python_fallback():

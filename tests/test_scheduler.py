@@ -7,7 +7,7 @@ import pytest
 from sparsesim import ops
 from sparsesim.arithmetic import cdkm_add
 from sparsesim.ir import ANGLE_KINDS, KINDS, GateOp
-from sparsesim.permqueue import FLIP, PHASE, PAULIY, PhasePermRecord
+from sparsesim.permqueue import flip_record, pauli_y_record, phase_record
 from sparsesim.scheduler import QubitSlots, is_pairwise, lower, pairwise_block, phase_perm_record
 from sparsesim.simulator import Simulator
 from sparsesim.state import PairwiseBlock
@@ -86,8 +86,9 @@ def test_each_kind_lowers_to_exactly_one_kernel_input(op, pairwise):
         assert isinstance(pairwise_block(op), PairwiseBlock)
     else:
         record = phase_perm_record(op)
-        assert isinstance(record, PhasePermRecord)
-        assert record.control_mask & 0b100
+        assert type(record) is tuple and len(record) == 6
+        _, ctrl, *_ = record
+        assert ctrl & 0b100
 
 
 def slots(sim, q):
@@ -121,19 +122,14 @@ def test_incoming_x_through_h_becomes_z():
     sim.apply(ops.x(0))
     assert slots(sim, 0).h == 1
     assert len(sim.queue) == 1
-    rec = sim.queue.records[0]
-    assert rec.kind == PHASE and rec.phase_even == -1  # Z record
-    assert rec.control_mask == 0b1
+    assert sim.queue.records == [phase_record(-1, 0b1)]  # Z record
 
 
 def test_incoming_y_through_h_keeps_y_with_minus_phase():
     sim = Simulator(1)
     sim.apply(ops.h(0))
     sim.apply(ops.y(0))
-    kinds = [r.kind for r in sim.queue.records]
-    assert kinds == [PAULIY, PHASE]
-    assert sim.queue.records[1].phase_even == -1
-    assert sim.queue.records[1].control_mask == 0
+    assert sim.queue.records == [pauli_y_record(0), phase_record(-1)]
 
 
 def test_ccx_with_pending_rx_on_control_forces_flush():
@@ -148,8 +144,7 @@ def test_ccx_with_pending_rx_on_control_forces_flush():
     assert len(sim.state) == 2
     assert 1 not in sim.slots
     assert len(sim.queue) == 1
-    assert sim.queue.records[0].kind == FLIP
-    assert sim.queue.records[0].control_mask == 0b110
+    assert sim.queue.records == [flip_record(0b1, 0b110)]
 
 
 def test_cx_passes_pending_rx_on_target():
@@ -158,7 +153,7 @@ def test_cx_passes_pending_rx_on_target():
     sim.apply(ops.cx(1, 0))
     assert slots(sim, 0).rx == pytest.approx(0.75)  # still pending
     assert len(sim.queue) == 1
-    assert sim.queue.records[0].kind == FLIP
+    assert sim.queue.records == [flip_record(0b1, 0b10)]
     assert sim.stats.flush_count == 0
 
 
@@ -185,7 +180,7 @@ def test_cancelling_pair_leaves_no_slot(pair):
     sim.apply_all(pair)
     assert 1 not in sim.slots
     sim.apply(ops.cx(1, 0))
-    assert [r.kind for r in sim.queue.records] == [FLIP]
+    assert sim.queue.records == [flip_record(0b1, 0b10)]
     assert sim.stats.flush_count == 0
 
 

@@ -271,3 +271,32 @@ def test_solve_dlog_pair_needs_invertible_rounding():
     # j rounding to 0 with k rounding to 0 recovers nothing unless target is 1
     assert shor.solve_dlog_pair(0, 0, 9, 10, 2, 7, 11) is None
     assert shor.solve_dlog_pair(0, 0, 9, 10, 2, 1, 11) == 0
+
+
+def _brute_order(g: int, n: int) -> int:
+    r, x = 1, g % n
+    while x != 1:
+        r, x = r + 1, x * g % n
+    return r
+
+
+@pytest.mark.parametrize("n", [15, 21, 33, 35])
+def test_order_from_phase_exhaustive_small_moduli(n):
+    # Every readout j at FactoringInstance's phase width, for every unit g <= 9: the
+    # order is recovered exactly when some multiple k*t < n (t <= 128) of a
+    # convergent denominator k is a multiple of it; otherwise None.
+    m = 2 * n.bit_length() + 1
+    orders = {g: _brute_order(g, n) for g in range(2, 10) if math.gcd(g, n) == 1}
+    for j in range(1 << m):
+        convergents = shor._convergent_denominators(j, m, n)
+        for g, r in orders.items():
+            # The least multiple of k that r divides is k * r / gcd(k, r).
+            hit = j != 0 and any(r // math.gcd(k, r) <= min(128, (n - 1) // k) for k in convergents)
+            assert shor.order_from_phase(j, m, g, n) == (r if hit else None), (n, g, j)
+
+
+def test_multiplicative_order_matches_brute_force():
+    for n in range(2, 36):
+        for g in range(1, n):
+            if math.gcd(g, n) == 1:
+                assert shor.multiplicative_order(g, n) == _brute_order(g, n), (g, n)

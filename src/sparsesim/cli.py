@@ -45,8 +45,6 @@ def cmd_run(args) -> int:
         seed=args.seed,
         threads=args.threads,
         scheduler_enabled=not args.no_queue,
-        par_min_queue=args.par_min_queue,
-        par_min_states=args.par_min_states,
     )
     if result.measurements:
         print(" ".join(str(b) for b in result.measurements))
@@ -121,17 +119,14 @@ def cmd_bench(args) -> int:
         print(f"error: --reps must be at least 0, got {args.reps}", file=sys.stderr)
         return EXIT_RUNTIME
     rows = ["instance,rep,wall_time_ms,max_state_size,success"]
+    run = shor.run_factoring if args.suite == "factoring" else shor.run_dlog
     for size in sizes:
         if args.suite == "factoring":
             instance = shor.FactoringInstance.build(size, args.adder)
         else:
             instance = shor.DlogInstance.build(size, exponent=7, adder=args.adder)
         for rep in range(args.reps):
-            seed = args.seed + rep
-            if args.suite == "factoring":
-                res = shor.run_factoring(instance, seed=seed, threads=args.threads, mbu=args.mbu)
-            else:
-                res = shor.run_dlog(instance, seed=seed, threads=args.threads, mbu=args.mbu)
+            res = run(instance, seed=args.seed + rep, threads=args.threads, mbu=args.mbu)
             rows.append(f"{size},{rep},{res.stats.wall_time_ms},{res.stats.max_state_size},{res.success}")
     Path(args.out).write_text("\n".join(rows) + "\n", encoding="utf-8")
     print(f"wrote {len(rows) - 1} rows to {args.out}")
@@ -146,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("file", help="circuit text file")
     _add_common(p_run)
     p_run.add_argument("--no-queue", action="store_true", help="disable gate queueing and commutation")
-    p_run.add_argument("--par-min-queue", type=int, default=64, help="queue length needed before parallel execution")
-    p_run.add_argument("--par-min-states", type=int, default=4096, help="state size needed before parallel execution")
     p_run.add_argument("--dump-final", action="store_true", help="print the final state, sorted by label")
     p_run.add_argument("--show-counters", action="store_true", help="print scheduler instrumentation counters")
     p_run.add_argument("--oracle-check", action="store_true", help=argparse.SUPPRESS)

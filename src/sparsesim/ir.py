@@ -82,6 +82,17 @@ def validate_op(op: GateOp, num_qubits: int) -> None:
         raise ValueError(f"{op.kind} takes exactly one target")
 
 
+def pexp_op(angle: float, letters: str, qubits, controls=()) -> GateOp:
+    """A Pauli exponential from one X, Y, Z or I letter per qubit; the I axes are dropped."""
+    qubits = tuple(qubits)
+    if len(letters) != len(qubits):
+        raise ValueError("Pauli string length must match qubit count")
+    kept = [(q, ax) for q, ax in zip(qubits, letters) if ax != "I"]
+    if not kept:
+        raise ValueError("empty Pauli string")
+    return GateOp("pexp", tuple(q for q, _ in kept), tuple(controls), angle, tuple(ax for _, ax in kept))
+
+
 def qubit_mask(qubits) -> int:
     """Label bit mask with bit ``q`` set for each qubit ``q``."""
     m = 0
@@ -136,7 +147,6 @@ def _parse_gate_tokens(tokens: list[str], num_qubits: int, line_no: int) -> Gate
             raise CircuitSyntaxError(line_no, f"bad angle {rest[0]!r}") from None
         rest = rest[1:]
 
-    axes: tuple[str, ...] = ()
     if base == "pexp":
         if not rest:
             raise CircuitSyntaxError(line_no, "pexp requires a Pauli string")
@@ -152,18 +162,8 @@ def _parse_gate_tokens(tokens: list[str], num_qubits: int, line_no: int) -> Gate
         raise CircuitSyntaxError(line_no, f"{mnemonic} is missing qubit operands")
     controls = tuple(qubits[:n_controls])
     targets = tuple(qubits[n_controls:])
-
-    if base == "pexp":
-        if len(letters) != len(targets):
-            raise CircuitSyntaxError(line_no, "Pauli string length must match qubit count")
-        kept = [(q, ax) for q, ax in zip(targets, letters) if ax != "I"]
-        if not kept:
-            raise CircuitSyntaxError(line_no, "empty Pauli string")
-        targets = tuple(q for q, _ in kept)
-        axes = tuple(ax for _, ax in kept)
-
-    op = GateOp(base, targets, controls, angle, axes)
     try:
+        op = pexp_op(angle, letters, targets, controls) if base == "pexp" else GateOp(base, targets, controls, angle)
         validate_op(op, num_qubits)
     except ValueError as exc:
         raise CircuitSyntaxError(line_no, str(exc)) from None

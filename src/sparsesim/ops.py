@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .ir import GateOp
+from .ir import GateOp, pexp_op
 
 
 def _c(controls: Iterable[int]) -> tuple[int, ...]:
@@ -72,15 +72,7 @@ def swap(q1: int, q2: int, controls: Iterable[int] = ()) -> GateOp:
 
 
 def pexp(theta: float, axes: str, qubits: Iterable[int], controls: Iterable[int] = ()) -> GateOp:
-    qs = tuple(qubits)
-    kept = [(q, ax) for q, ax in zip(qs, axes.upper()) if ax != "I"]
-    return GateOp(
-        "pexp",
-        tuple(q for q, _ in kept),
-        _c(controls),
-        theta,
-        tuple(ax for _, ax in kept),
-    )
+    return pexp_op(theta, axes.upper(), qubits, controls)
 
 
 def mz(*qubits: int) -> GateOp:

@@ -123,9 +123,7 @@ def flush_qubits(sim, qubits) -> None:
     sim.stats.flush_count += 1
     if records:
         sim.stats.gates_enqueued += len(records)
-        sim._set_state(
-            permqueue.execute(sim.queue, sim.state, sim.threads, sim.par_min_queue, sim.par_min_states, stats=sim.stats)
-        )
+        sim._set_state(permqueue.execute(sim.queue, sim.state, sim.threads, stats=sim.stats))
     for q in pending:
         sl = slots.pop(q)
         if sl.h:

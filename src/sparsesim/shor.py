@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from . import ops
 from .arithmetic import Reg, cdkm_add, cswap_regs, iqft, load_const, phi_add_const, qft
-from .ir import GateOp
 from .scheduler import Lowered, lower
 from .simulator import RunStats, Simulator
 
@@ -147,11 +146,10 @@ class FactoringInstance:
 
     @classmethod
     def build(cls, modulus: int, adder: str = "cdkm", generator: int | None = None) -> "FactoringInstance":
-        if adder not in ("cdkm", "qft"):
-            raise ValueError(f"unknown adder {adder!r}")
+        Layout.for_instance(modulus.bit_length(), adder)  # rejects an unknown adder
         if modulus < 9 or modulus % 2 == 0:
             raise ValueError("modulus must be an odd composite")
-        if is_prime(modulus) or is_prime_power(modulus):
+        if is_prime_power(modulus):
             raise ValueError("modulus must have at least two distinct prime factors")
         if generator is None:
             generator = max_order_generator(modulus)
@@ -180,6 +178,7 @@ class DlogInstance:
         exponent: int | None = None,
         adder: str = "cdkm",
     ) -> "DlogInstance":
+        Layout.for_instance(prime.bit_length(), adder)  # rejects an unknown adder
         if not is_prime(prime) or prime < 3:
             raise ValueError("modulus must be an odd prime")
         order = prime - 1
@@ -202,12 +201,12 @@ class DlogInstance:
 
 @dataclass(frozen=True)
 class Layout:
-    """Qubit assignment for the modular-exponentiation drivers.
+    """Qubit assignment for the modular-exponentiation drivers, and the adder it is built for.
 
     The published register budgets are 5n+2 qubits for the ripple-carry
-    configuration and 2n+3 for the Fourier-basis one.  Our ripple-carry
-    circuit needs 3n+5 working qubits; the remainder is allocated as idle
-    workspace so reported totals match the budget.
+    ("cdkm") configuration and 2n+3 for the Fourier-basis ("qft") one.  Our
+    ripple-carry circuit needs 3n+5 working qubits; the remainder is
+    allocated as idle workspace so reported totals match the budget.
     """
 
     num_qubits: int
@@ -217,6 +216,7 @@ class Layout:
     a: Reg | None
     f: int
     z: int | None
+    adder: str
 
     @classmethod
     def for_instance(cls, n: int, adder: str) -> "Layout":
@@ -224,22 +224,24 @@ class Layout:
         x = tuple(range(1, n + 1))
         y = tuple(range(n + 1, 2 * n + 2))
         if adder == "qft":
-            return cls(2 * n + 3, ctrl, x, y, None, 2 * n + 2, None)
+            return cls(2 * n + 3, ctrl, x, y, None, 2 * n + 2, None, adder)
+        if adder != "cdkm":
+            raise ValueError(f"unknown adder {adder!r}")
         a = tuple(range(2 * n + 2, 3 * n + 3))
-        return cls(5 * n + 2, ctrl, x, y, a, 3 * n + 3, 3 * n + 4)
+        return cls(5 * n + 2, ctrl, x, y, a, 3 * n + 3, 3 * n + 4, adder)
 
 
 # -- modular arithmetic on the register file ------------------------------
 
 
-def _add_const(sim: Simulator, lay: Layout, adder: str, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
-    """y += sign * value (mod 2^w), gated on ``controls``.
+def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
+    """y += sign * value (mod 2^w), gated on ``controls``, with the layout's adder.
 
     The ripple-carry adder loads the value into the operand register under
     the controls; with the controls unsatisfied the operand stays zero, so
     the uncontrolled adder contributes the identity.
     """
-    if adder == "qft":
+    if lay.adder == "qft":
         sim.apply_all(qft(lay.y))
         sim.apply_all(phi_add_const(lay.y, value, controls, sign))
         sim.apply_all(iqft(lay.y))
@@ -263,10 +265,9 @@ def mod_add_const(
     value: int,
     modulus: int,
     controls: tuple[int, ...],
-    adder: str = "cdkm",
     mbu: bool = False,
 ) -> None:
-    """y <- (y + value) mod modulus, gated on ``controls``.
+    """y <- (y + value) mod modulus, gated on ``controls``; the layout picks the adder.
 
     Requires y < modulus on every supported basis state; the top qubit of
     y is borrow headroom.  The comparison flag is cleared coherently or,
@@ -278,30 +279,27 @@ def mod_add_const(
     a = value % modulus
     wrap = (1 << w) - modulus  # two's complement of the modulus
 
-    _add_const(sim, lay, adder, a, controls)
-    _add_const(sim, lay, adder, wrap, controls)
+    _add_const(sim, lay, a, controls)
+    _add_const(sim, lay, wrap, controls)
     # Borrow bit: set iff y_old + a < modulus (no reduction was needed).
     sim.apply(ops.cx(top, lay.f))
-    _add_const(sim, lay, adder, modulus, (lay.f,))
+    _add_const(sim, lay, modulus, (lay.f,))
 
     if mbu:
         sim.apply(ops.h(lay.f))
-        if sim.measure((lay.f,)):
-            sim.apply(ops.x(lay.f))
-            # Phase repair (-1)^[y_new >= a] on the controlled branches.
-            _add_const(sim, lay, adder, a, controls, sign=-1)
-            sim.apply(ops.x(top))
-            sim.apply(ops.z(top, controls))
-            sim.apply(ops.x(top))
-            _add_const(sim, lay, adder, a, controls)
-        return
-
-    # Coherent uncompute: the borrow of y_new - a reproduces the flag.
-    _add_const(sim, lay, adder, a, controls, sign=-1)
+        if not sim.measure((lay.f,)):
+            return
+        sim.apply(ops.x(lay.f))
+        # Phase repair (-1)^[y_new >= a] on the controlled branches.
+        repair = ops.z(top, controls)
+    else:
+        # Coherent uncompute: the borrow of y_new - a reproduces the flag.
+        repair = ops.x(lay.f, controls + (top,))
+    _add_const(sim, lay, a, controls, sign=-1)
     sim.apply(ops.x(top))
-    sim.apply(GateOp("x", (lay.f,), tuple(controls) + (top,)))
+    sim.apply(repair)
     sim.apply(ops.x(top))
-    _add_const(sim, lay, adder, a, controls)
+    _add_const(sim, lay, a, controls)
 
 
 def ctrl_modmul(
@@ -310,10 +308,9 @@ def ctrl_modmul(
     controls: tuple[int, ...],
     factor: int,
     modulus: int,
-    adder: str = "cdkm",
     mbu: bool = False,
 ) -> None:
-    """In-place |x> -> |factor * x mod modulus> when the controls are set.
+    """In-place |x> -> |factor * x mod modulus> when the controls are set; the layout picks the adder.
 
     Multiply-accumulate into the helper register, swap it in, then run the
     inverse multiplication to return the helper to zero.
@@ -322,12 +319,12 @@ def ctrl_modmul(
         raise ValueError("multiplier must be invertible modulo the modulus")
     n = len(lay.x)
     for i in range(n):
-        mod_add_const(sim, lay, (factor << i) % modulus, modulus, controls + (lay.x[i],), adder, mbu)
+        mod_add_const(sim, lay, (factor << i) % modulus, modulus, controls + (lay.x[i],), mbu)
     sim.apply_all(cswap_regs(lay.x, lay.y[:n], controls))
     inverse = pow(factor, -1, modulus)
     for i in range(n):
         value = (modulus - ((inverse << i) % modulus)) % modulus
-        mod_add_const(sim, lay, value, modulus, controls + (lay.x[i],), adder, mbu)
+        mod_add_const(sim, lay, value, modulus, controls + (lay.x[i],), mbu)
 
 
 # -- semiclassical phase estimation ---------------------------------------
@@ -338,14 +335,13 @@ def _phase_estimate(
     lay: Layout,
     multipliers: list[int],
     modulus: int,
-    adder: str,
     mbu: bool,
 ) -> int:
     """One reused control qubit; returns the measured phase integer."""
     j = 0
     for p, mult in enumerate(multipliers):
         sim.apply(ops.h(lay.ctrl))
-        ctrl_modmul(sim, lay, (lay.ctrl,), mult, modulus, adder, mbu)
+        ctrl_modmul(sim, lay, (lay.ctrl,), mult, modulus, mbu)
         if j:
             sim.apply(ops.r1(-2.0 * math.pi * j / (1 << (p + 1)), lay.ctrl))
         sim.apply(ops.h(lay.ctrl))
@@ -364,7 +360,7 @@ def _estimate_phases(
     sim = Simulator(lay.num_qubits, seed=seed, threads=threads)
     sim.apply(ops.x(lay.x[0]))
     phases = [
-        _phase_estimate(sim, lay, [pow(b, 1 << (m - 1 - p), modulus) for p in range(m)], modulus, instance.adder, mbu)
+        _phase_estimate(sim, lay, [pow(b, 1 << (m - 1 - p), modulus) for p in range(m)], modulus, mbu)
         for b in bases
     ]
     sim.flush()

@@ -67,8 +67,6 @@ class Simulator:
         seed: int = 0,
         threads: int = 1,
         use_scheduler: bool = True,
-        par_min_queue: int = permqueue.DEFAULT_PAR_MIN_QUEUE,
-        par_min_states: int = permqueue.DEFAULT_PAR_MIN_STATES,
     ):
         if threads < 1:
             raise ValueError(f"threads must be at least 1, got {threads}")
@@ -80,8 +78,6 @@ class Simulator:
         self.seed = seed
         self.threads = threads
         self.use_scheduler = use_scheduler
-        self.par_min_queue = par_min_queue
-        self.par_min_states = par_min_states
         self.stats = SimStats()
         self.outcomes: list[MeasurementOutcome] = []
 
@@ -165,8 +161,6 @@ def run_program(
     seed: int = 0,
     threads: int = 1,
     scheduler_enabled: bool = True,
-    par_min_queue: int = permqueue.DEFAULT_PAR_MIN_QUEUE,
-    par_min_states: int = permqueue.DEFAULT_PAR_MIN_STATES,
 ) -> RunResult:
     """Run a parsed program and report the final dump, outcomes, and stats."""
     start = time.perf_counter()
@@ -175,8 +169,6 @@ def run_program(
         seed=seed,
         threads=threads,
         use_scheduler=scheduler_enabled,
-        par_min_queue=par_min_queue,
-        par_min_states=par_min_states,
     )
     for entry in program.ops:
         if isinstance(entry, Conditional):

@@ -277,7 +277,7 @@ def test_criterion_10_exhaustive_arithmetic():
             sim = Simulator(lay.num_qubits)
             sim.apply(GateOp("x", (lay.ctrl,)))
             sim.apply_all(ar.load_const(lay.x, x0))
-            shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus, "cdkm")
+            shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus)
             d = sim.dump()
             x = sum(((d[0][0] >> q) & 1) << i for i, q in enumerate(lay.x))
             if len(d) != 1 or x != (c * x0) % modulus:

@@ -107,6 +107,22 @@ def test_dlog_prints_exponent(capsys):
     assert capsys.readouterr().out.strip() == "7"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["factor", "35", "--trials", "1", "--seed", "4"], "no factors found"),
+        (["dlog", "--prime", "11", "--exponent", "3", "--trials", "1", "--seed", "1"], "no exponent recovered"),
+    ],
+)
+def test_no_result_exits_three_and_still_writes_stats(tmp_path, capsys, argv, message):
+    stats = tmp_path / "s.json"
+    assert main(argv + ["--stats", str(stats)]) == 3
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert json.loads(stats.read_text())["success"] is False
+
+
 @pytest.mark.parametrize("argv", [["factor", "15"], ["dlog", "--prime", "11", "--exponent", "3"]])
 def test_zero_trials_exits_two(argv, capsys):
     assert main(argv + ["--trials", "0"]) == 2

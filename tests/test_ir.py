@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from sparsesim import ops
 from sparsesim.ir import (
     CircuitSyntaxError,
     Conditional,
@@ -95,6 +96,22 @@ def test_pexp_parsing_drops_identity_axes():
 def test_pexp_all_identity_rejected():
     with pytest.raises(CircuitSyntaxError):
         parse_circuit("qubits 2\npexp 0.5 II 0 1\n")
+
+
+@pytest.mark.parametrize("axes,qubits", [("XYZ", [0, 1]), ("X", [0, 1])])
+def test_pexp_length_mismatch_rejected_by_builder_and_parser(axes, qubits):
+    # Neither a longer string nor a shorter one may be cut to fit.
+    with pytest.raises(ValueError, match="Pauli string length must match qubit count"):
+        ops.pexp(0.7, axes, qubits)
+    text = f"qubits 3\npexp 0.7 {axes} {' '.join(map(str, qubits))}\n"
+    with pytest.raises(CircuitSyntaxError, match="line 2: Pauli string length must match qubit count"):
+        parse_circuit(text)
+
+
+def test_pexp_builder_matches_parser():
+    assert ops.pexp(0.5, "xiz", [0, 1, 2], [3]) == parse_circuit("qubits 4\ncpexp 0.5 XIZ 3 0 1 2\n").ops[0]
+    with pytest.raises(ValueError, match="empty Pauli string"):
+        ops.pexp(0.5, "II", [0, 1])
 
 
 def test_conditional_requires_prior_measurement():

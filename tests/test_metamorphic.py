@@ -1,9 +1,11 @@
 """Metamorphic properties that need no dense oracle, so they reach any width."""
 
+import functools
 import random
 import sys
 from pathlib import Path
 
+from sparsesim import permqueue
 from sparsesim.ir import Conditional, GateOp, Program
 from sparsesim.simulator import run_program
 from sparsesim.state import MAX_QUBITS
@@ -29,11 +31,13 @@ def _label_back(label, pos):
     return out
 
 
-def test_wide_relabelling_maps_back_exactly():
+def test_wide_relabelling_maps_back_exactly(monkeypatch):
     # Qubit q of a program moves to pos[q], increasing in q, with the top one
     # at 64 or above, so the labels need more than one 64-bit word.  Every
     # evaluator acts on bits alone, so the relabelled run must map back to the
-    # original run exactly, under any thread budget and split.
+    # original run exactly, under any thread budget and split.  Thresholds far
+    # below the fixed ones make the 2-thread runs split.
+    monkeypatch.setattr(permqueue, "execute", functools.partial(permqueue.execute, par_min_queue=4, par_min_states=100))
     split_passes = 0
     wide_peaks = 0
     for i in range(N_PROGRAMS):
@@ -47,7 +51,7 @@ def test_wide_relabelling_maps_back_exactly():
 
         base = run_program(prog, seed=seed)
         for threads in (1, 2):
-            got = run_program(wide, seed=seed, threads=threads, par_min_queue=4, par_min_states=100)
+            got = run_program(wide, seed=seed, threads=threads)
             assert got.measurements == base.measurements, (seed, threads)
             assert [(_label_back(b, pos), a) for b, a in got.dump] == base.dump, (seed, threads)
             split_passes += got.sim_stats.parallel_executions

@@ -1,5 +1,6 @@
 import cmath
 import concurrent.futures
+import functools
 import math
 import os
 import random
@@ -441,16 +442,22 @@ def test_wide_labels_use_python_fallback():
         assert abs(amp) == pytest.approx(math.sqrt(0.5))
 
 
-def test_parallel_execution_matches_serial_in_simulator():
-    # Same program through full simulators with different thread budgets.
+def test_parallel_execution_matches_serial_in_simulator(monkeypatch):
+    # Same program through full simulators with different thread budgets;
+    # thresholds far below the fixed ones make the 8-thread run split.
+    monkeypatch.setattr(permqueue, "execute", functools.partial(permqueue.execute, par_min_queue=10, par_min_states=100))
+
     def build(threads):
-        sim = Simulator(13, seed=9, threads=threads, par_min_queue=10, par_min_states=100)
+        sim = Simulator(13, seed=9, threads=threads)
         for q in range(13):
             sim.apply(ops.h(q))
         rng = random.Random(3)
         for _ in range(40):
             c, t = rng.sample(range(13), 2)
             sim.apply(ops.cx(c, t))
-        return sim.dump()
+        return sim.dump(), sim.stats.parallel_executions
 
-    assert build(1) == build(8)
+    serial, _ = build(1)
+    parallel, splits = build(8)
+    assert parallel == serial
+    assert splits > 0

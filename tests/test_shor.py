@@ -42,10 +42,27 @@ def test_dlog_instance_validation():
         shor.DlogInstance.build(11, base=3)  # order 5, not maximal
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: shor.FactoringInstance.build(35, "bogus"),
+        lambda: shor.DlogInstance.build(19, exponent=7, adder="bogus"),
+        lambda: shor.dlog_with_retries(19, exponent=7, adder="bogus"),
+        lambda: shor.Layout.for_instance(5, "bogus"),
+    ],
+    ids=["factoring", "dlog", "dlog_with_retries", "layout"],
+)
+def test_unknown_adder_rejected_by_every_builder(build):
+    with pytest.raises(ValueError, match="unknown adder 'bogus'"):
+        build()
+
+
 def test_layout_qubit_budgets():
     for n in (4, 6, 8, 12):
         assert shor.Layout.for_instance(n, "cdkm").num_qubits == 5 * n + 2
         assert shor.Layout.for_instance(n, "qft").num_qubits == 2 * n + 3
+    assert shor.Layout.for_instance(4, "cdkm").adder == "cdkm"
+    assert shor.Layout.for_instance(4, "qft").adder == "qft"
 
 
 def decode(sim, lay):
@@ -66,7 +83,7 @@ def test_ctrl_modmul_example_values(adder):
         sim = Simulator(lay.num_qubits)
         sim.apply(GateOp("x", (lay.ctrl,)))
         sim.apply_all(ar.load_const(lay.x, x0))
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15, adder)
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15)
         x, rest = decode(sim, lay)
         assert x == expect
         assert rest == 1 << lay.ctrl  # every helper returned clean
@@ -78,7 +95,7 @@ def test_ctrl_modmul_identity_constant():
         sim = Simulator(lay.num_qubits)
         sim.apply(GateOp("x", (lay.ctrl,)))
         sim.apply_all(ar.load_const(lay.x, x0))
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 1, 15, "cdkm")
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 1, 15)
         x, rest = decode(sim, lay)
         assert (x, rest) == (x0, 1 << lay.ctrl)
 
@@ -87,7 +104,7 @@ def test_ctrl_modmul_respects_control():
     lay = shor.Layout.for_instance(4, "cdkm")
     sim = Simulator(lay.num_qubits)
     sim.apply_all(ar.load_const(lay.x, 6))
-    shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15, "cdkm")
+    shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15)
     x, rest = decode(sim, lay)
     assert (x, rest) == (6, 0)
 
@@ -96,7 +113,7 @@ def test_ctrl_modmul_rejects_noninvertible():
     lay = shor.Layout.for_instance(4, "cdkm")
     sim = Simulator(lay.num_qubits)
     with pytest.raises(ValueError):
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 5, 15, "cdkm")
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), 5, 15)
 
 
 @pytest.mark.parametrize("modulus,c", [(15, 7), (21, 5), (31, 12)])
@@ -107,7 +124,7 @@ def test_ctrl_modmul_exhaustive_sparse(modulus, c):
         sim = Simulator(lay.num_qubits)
         sim.apply(GateOp("x", (lay.ctrl,)))
         sim.apply_all(ar.load_const(lay.x, x0))
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus, "cdkm")
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus)
         x, rest = decode(sim, lay)
         assert x == (c * x0) % modulus
         assert rest == 1 << lay.ctrl
@@ -126,7 +143,7 @@ def test_ctrl_modmul_exhaustive_dense(modulus, c):
         sim.apply = lambda op: (recorder.append(op), orig_apply(op))[1]
         sim.apply(GateOp("x", (lay.ctrl,)))
         sim.apply_all(ar.load_const(lay.x, x0))
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus, "qft")
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus)
         for op in recorder:
             dense.apply(op)
         assert compare(dense, SparseState(lay.num_qubits, dict(sim.dump()))) < 1e-9
@@ -140,7 +157,7 @@ def test_mbu_mode_same_function_and_doubles_state():
     sim.apply(GateOp("h", (lay.x[1],)))  # superposition of x in {1, 3}
     sim.flush()
     baseline = len(sim.state)
-    shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15, "cdkm", mbu=True)
+    shor.ctrl_modmul(sim, lay, (lay.ctrl,), 7, 15, mbu=True)
     sim.flush()
     d = dict(sim.dump())
     got = sorted(

@@ -7,7 +7,9 @@ second H, and a measure-and-reset.  Modular addition keeps the running
 value in [0, N) with an add / compare / conditional-subtract sequence; the
 comparison flag is uncomputed either coherently (default) or by measuring
 it in the X basis and repairing the phase, which temporarily doubles the
-number of stored entries.
+number of stored entries.  With the Fourier-basis adder, y is in the Fourier
+basis inside each loop of modular additions (Beauregard's schedule) and in
+the computational basis between the loops.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ops
+from . import ops, state
 from .arithmetic import Reg, cdkm_add, cswap_regs, iqft, load_const, phi_add_const, qft
 from .scheduler import Lowered, lower
 from .simulator import RunStats, Simulator
@@ -223,12 +225,15 @@ class Layout:
         ctrl = 0
         x = tuple(range(1, n + 1))
         y = tuple(range(n + 1, 2 * n + 2))
+        num_qubits = 2 * n + 3 if adder == "qft" else 5 * n + 2
+        if num_qubits > state.MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in [1, {state.MAX_QUBITS}], got {num_qubits}")
         if adder == "qft":
-            return cls(2 * n + 3, ctrl, x, y, None, 2 * n + 2, None, adder)
+            return cls(num_qubits, ctrl, x, y, None, 2 * n + 2, None, adder)
         if adder != "cdkm":
             raise ValueError(f"unknown adder {adder!r}")
         a = tuple(range(2 * n + 2, 3 * n + 3))
-        return cls(5 * n + 2, ctrl, x, y, a, 3 * n + 3, 3 * n + 4, adder)
+        return cls(num_qubits, ctrl, x, y, a, 3 * n + 3, 3 * n + 4, adder)
 
 
 # -- modular arithmetic on the register file ------------------------------
@@ -237,20 +242,24 @@ class Layout:
 def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
     """y += sign * value (mod 2^w), gated on ``controls``, with the layout's adder.
 
-    The ripple-carry adder loads the value into the operand register under
-    the controls; with the controls unsatisfied the operand stays zero, so
-    the uncontrolled adder contributes the identity.
+    The Fourier adder needs y in the Fourier basis.  The ripple-carry adder
+    loads the value into the operand register under the controls; with them
+    unsatisfied the operand stays zero, so the adder is the identity.
     """
     if lay.adder == "qft":
-        sim.apply_all(qft(lay.y))
         sim.apply_all(phi_add_const(lay.y, value, controls, sign))
-        sim.apply_all(iqft(lay.y))
         return
     w = len(lay.y)
     value = (value if sign > 0 else (1 << w) - value) % (1 << w)
     sim.apply_all(load_const(lay.a, value, controls))
     sim.apply_lowered(_lowered_adder(lay))
     sim.apply_all(load_const(lay.a, value, controls))
+
+
+def _fourier(sim: Simulator, lay: Layout, transform) -> None:
+    """Apply ``transform`` (qft or iqft) to y on the qft layout; cdkm's y never leaves the computational basis."""
+    if lay.adder == "qft":
+        sim.apply_all(transform(lay.y))
 
 
 @functools.cache
@@ -271,8 +280,9 @@ def mod_add_const(
 
     Requires y < modulus on every supported basis state; the top qubit of
     y is borrow headroom.  The comparison flag is cleared coherently or,
-    with ``mbu``, by an X-basis measurement plus a conditional phase
-    repair keyed off the borrow bit.
+    with ``mbu``, by an X-basis measurement plus a conditional phase repair
+    keyed off the borrow bit.  On the qft layout y comes and goes in the Fourier
+    basis; it leaves it only to copy its top bit, to repair and to measure the flag.
     """
     w = len(lay.y)
     top = lay.y[w - 1]
@@ -282,12 +292,17 @@ def mod_add_const(
     _add_const(sim, lay, a, controls)
     _add_const(sim, lay, wrap, controls)
     # Borrow bit: set iff y_old + a < modulus (no reduction was needed).
+    _fourier(sim, lay, iqft)
     sim.apply(ops.cx(top, lay.f))
+    _fourier(sim, lay, qft)
     _add_const(sim, lay, modulus, (lay.f,))
 
     if mbu:
+        _fourier(sim, lay, iqft)
         sim.apply(ops.h(lay.f))
-        if not sim.measure((lay.f,)):
+        flag = sim.measure((lay.f,))
+        _fourier(sim, lay, qft)
+        if not flag:
             return
         sim.apply(ops.x(lay.f))
         # Phase repair (-1)^[y_new >= a] on the controlled branches.
@@ -296,9 +311,11 @@ def mod_add_const(
         # Coherent uncompute: the borrow of y_new - a reproduces the flag.
         repair = ops.x(lay.f, controls + (top,))
     _add_const(sim, lay, a, controls, sign=-1)
+    _fourier(sim, lay, iqft)
     sim.apply(ops.x(top))
     sim.apply(repair)
     sim.apply(ops.x(top))
+    _fourier(sim, lay, qft)
     _add_const(sim, lay, a, controls)
 
 
@@ -312,19 +329,19 @@ def ctrl_modmul(
 ) -> None:
     """In-place |x> -> |factor * x mod modulus> when the controls are set; the layout picks the adder.
 
-    Multiply-accumulate into the helper register, swap it in, then run the
-    inverse multiplication to return the helper to zero.
+    Multiply-accumulate into the helper register y, swap it in, then add -factor^-1 * x to
+    clear y.  On qft each loop of additions runs in the Fourier basis; the swap needs y out of it.
     """
     if math.gcd(factor, modulus) != 1:
         raise ValueError("multiplier must be invertible modulo the modulus")
     n = len(lay.x)
-    for i in range(n):
-        mod_add_const(sim, lay, (factor << i) % modulus, modulus, controls + (lay.x[i],), mbu)
-    sim.apply_all(cswap_regs(lay.x, lay.y[:n], controls))
-    inverse = pow(factor, -1, modulus)
-    for i in range(n):
-        value = (modulus - ((inverse << i) % modulus)) % modulus
-        mod_add_const(sim, lay, value, modulus, controls + (lay.x[i],), mbu)
+    for loop, c in enumerate((factor, modulus - pow(factor, -1, modulus))):
+        if loop:
+            sim.apply_all(cswap_regs(lay.x, lay.y[:n], controls))
+        _fourier(sim, lay, qft)
+        for i in range(n):
+            mod_add_const(sim, lay, (c << i) % modulus, modulus, controls + (lay.x[i],), mbu)
+        _fourier(sim, lay, iqft)
 
 
 # -- semiclassical phase estimation ---------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,26 @@ def test_unwritable_output_exits_two(tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,qubits",
+    [
+        (["factor", "4611685975477714963"], 312),  # 2147483647 x 2147483629, 62 bits
+        (["dlog", "--prime", "1152921504606847009", "--exponent", "3"], 307),
+        (["bench", "--suite", "dlog", "--sizes", "1152921504606847009", "--reps", "1", "--out", "x.csv"], 307),
+    ],
+    ids=["factor", "dlog", "bench"],
+)
+def test_oversized_instance_exits_two_before_factorizing(tmp_path, argv, qubits):
+    # Trial division of these moduli runs for minutes, so the register file's qubit cap must be
+    # checked first.  A child process lets the timeout fail the test instead of hanging it.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sparsesim", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: num_qubits must be in [1, 128], got {qubits}\n"
 
 
 def test_bench_row_counts(tmp_path, capsys):

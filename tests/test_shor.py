@@ -117,17 +117,25 @@ def test_ctrl_modmul_rejects_noninvertible():
 
 
 @pytest.mark.parametrize("modulus,c", [(15, 7), (21, 5), (31, 12)])
-def test_ctrl_modmul_exhaustive_sparse(modulus, c):
+@pytest.mark.parametrize("mbu", [False, True], ids=["coherent", "mbu"])
+@pytest.mark.parametrize("adder", ["cdkm", "qft"])
+def test_ctrl_modmul_exhaustive_sparse(adder, mbu, modulus, c):
+    # On qft, y stays in the Fourier basis through each loop of additions and must come back clean.
     n = modulus.bit_length()
-    lay = shor.Layout.for_instance(n, "cdkm")
+    lay = shor.Layout.for_instance(n, adder)
+    flags = set()
     for x0 in range(1, modulus):
-        sim = Simulator(lay.num_qubits)
+        sim = Simulator(lay.num_qubits, seed=x0)
         sim.apply(GateOp("x", (lay.ctrl,)))
         sim.apply_all(ar.load_const(lay.x, x0))
-        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus)
+        shor.ctrl_modmul(sim, lay, (lay.ctrl,), c, modulus, mbu)
         x, rest = decode(sim, lay)
         assert x == (c * x0) % modulus
         assert rest == 1 << lay.ctrl
+        assert len(sim.measurements) == (2 * n if mbu else 0)  # one flag readout per modular addition
+        flags.update(sim.measurements)
+    # Under MBU both flag outcomes occur, the early return on 0 included.
+    assert flags == ({0, 1} if mbu else set())
 
 
 @pytest.mark.parametrize("modulus,c", [(15, 7), (31, 12)])
@@ -236,6 +244,31 @@ def test_factor_143_seed1_sim_stats(mbu, values):
     res = shor.run_factoring(shor.FactoringInstance.build(143, "cdkm"), seed=1, mbu=mbu)
     assert res.factors == (11, 13)
     assert list(dataclasses.asdict(res.sim_stats).items()) == list(zip(SIM_STATS_FIELDS, values))
+
+
+@pytest.mark.parametrize(
+    "mbu,readout,record,gates",
+    [
+        (False, 5462, "0110101010101", 24712),
+        (
+            True,
+            3413,
+            "0110001100101001011001100000000000001110110011101100111100100111101110000111001111101110011011111110"
+            "011010001110000111110110001000000100100000100110110001011101110101010",
+            28021,
+        ),
+    ],
+    ids=["coherent", "mbu"],
+)
+def test_factor_35_qft_seed1_fingerprint(mbu, readout, record, gates):
+    # One seeded run pinned whole.  The peak is 1536 on both paths: measuring the MBU flag
+    # while y is spread over the Fourier basis would double it to 3072.
+    res = shor.run_factoring(shor.FactoringInstance.build(35, "qft"), seed=1, mbu=mbu)
+    assert res.factors == (5, 7)
+    assert res.phase == readout
+    assert "".join(map(str, res.measurements)) == record
+    assert res.sim_stats.max_state_size == 1536
+    assert res.sim_stats.gate_count == gates
 
 
 def test_factoring_n15_table_row():

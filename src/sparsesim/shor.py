@@ -14,10 +14,9 @@ the computational basis between the loops.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ops, state
@@ -101,22 +100,11 @@ def _convergent_denominators(j: int, phase_bits: int, bound: int) -> list[int]:
     return out
 
 
-def continued_fraction_order(j: int, phase_bits: int, g: int, n: int) -> int | None:
-    """Order candidate from the convergents of j / 2^phase_bits.
-
-    Returns the smallest convergent denominator r below n with
-    g^r = 1 (mod n), or None when no convergent works (j = 0 included).
-    """
-    if j == 0:
-        return None
-    for k in _convergent_denominators(j, phase_bits, n):
-        if pow(g, k, n) == 1:
-            return k
-    return None
+MAX_MULTIPLE = 128  # largest multiple of a convergent denominator that order_from_phase tests
 
 
-def order_from_phase(j: int, phase_bits: int, g: int, n: int, max_multiple: int = 128) -> int | None:
-    """Order recovery used by the drivers.
+def order_from_phase(j: int, phase_bits: int, g: int, n: int) -> int | None:
+    """Order from the convergents of j / 2^phase_bits, or None (j = 0 included).
 
     When the sampled eigenvalue index shares a factor with the order, a
     convergent denominator is only a divisor of it, so small multiples of the
@@ -126,7 +114,7 @@ def order_from_phase(j: int, phase_bits: int, g: int, n: int, max_multiple: int 
     if j == 0:
         return None
     for k in _convergent_denominators(j, phase_bits, n):
-        for t in range(1, max_multiple + 1):
+        for t in range(1, MAX_MULTIPLE + 1):
             if k * t >= n:
                 break
             if pow(g, k * t, n) == 1:
@@ -140,15 +128,14 @@ def order_from_phase(j: int, phase_bits: int, g: int, n: int, max_multiple: int 
 @dataclass(frozen=True)
 class FactoringInstance:
     modulus: int
-    bit_size: int
     generator: int
     order: int
     phase_bits: int
-    adder: str
+    layout: Layout
 
     @classmethod
     def build(cls, modulus: int, adder: str = "cdkm", generator: int | None = None) -> "FactoringInstance":
-        Layout.for_instance(modulus.bit_length(), adder)  # rejects an unknown adder
+        layout = Layout.for_instance(modulus.bit_length(), adder)  # first: rejects an unknown adder or too many qubits
         if modulus < 9 or modulus % 2 == 0:
             raise ValueError("modulus must be an odd composite")
         if is_prime_power(modulus):
@@ -157,19 +144,17 @@ class FactoringInstance:
             generator = max_order_generator(modulus)
         if math.gcd(generator, modulus) != 1:
             raise ValueError("generator must be a unit modulo the modulus")
-        n = modulus.bit_length()
-        return cls(modulus, n, generator, multiplicative_order(generator, modulus), 2 * n + 1, adder)
+        return cls(modulus, generator, multiplicative_order(generator, modulus), 2 * len(layout.x) + 1, layout)
 
 
 @dataclass(frozen=True)
 class DlogInstance:
     prime: int
-    bit_size: int
     base: int
     target: int
     order: int
     phase_bits: int
-    adder: str = "cdkm"
+    layout: Layout
 
     @classmethod
     def build(
@@ -180,7 +165,7 @@ class DlogInstance:
         exponent: int | None = None,
         adder: str = "cdkm",
     ) -> "DlogInstance":
-        Layout.for_instance(prime.bit_length(), adder)  # rejects an unknown adder
+        layout = Layout.for_instance(prime.bit_length(), adder)  # first: rejects an unknown adder or too many qubits
         if not is_prime(prime) or prime < 3:
             raise ValueError("modulus must be an odd prime")
         order = prime - 1
@@ -194,8 +179,7 @@ class DlogInstance:
             target = pow(base, exponent, prime)
         if not 1 <= target < prime or math.gcd(target, prime) != 1:
             raise ValueError("target must be a unit modulo the prime")
-        n = prime.bit_length()
-        return cls(prime, n, base, target, order, 2 * n + 1, adder)
+        return cls(prime, base, target, order, 2 * len(layout.x) + 1, layout)
 
 
 # -- register file -------------------------------------------------------
@@ -203,12 +187,14 @@ class DlogInstance:
 
 @dataclass(frozen=True)
 class Layout:
-    """Qubit assignment for the modular-exponentiation drivers, and the adder it is built for.
+    """Qubit assignment for the modular-exponentiation drivers, the adder it is built for, and that adder lowered.
 
     The published register budgets are 5n+2 qubits for the ripple-carry
     ("cdkm") configuration and 2n+3 for the Fourier-basis ("qft") one.  Our
     ripple-carry circuit needs 3n+5 working qubits; the remainder is
     allocated as idle workspace so reported totals match the budget.
+    ``adder_block`` is cdkm's y += a lowered once (None on qft): it does not
+    depend on the constant, and each instance keeps its layout for every attempt.
     """
 
     num_qubits: int
@@ -219,6 +205,7 @@ class Layout:
     f: int
     z: int | None
     adder: str
+    adder_block: Lowered | None = field(repr=False, compare=False)
 
     @classmethod
     def for_instance(cls, n: int, adder: str) -> "Layout":
@@ -229,11 +216,11 @@ class Layout:
         if num_qubits > state.MAX_QUBITS:
             raise ValueError(f"num_qubits must be in [1, {state.MAX_QUBITS}], got {num_qubits}")
         if adder == "qft":
-            return cls(num_qubits, ctrl, x, y, None, 2 * n + 2, None, adder)
+            return cls(num_qubits, ctrl, x, y, None, 2 * n + 2, None, adder, None)
         if adder != "cdkm":
             raise ValueError(f"unknown adder {adder!r}")
-        a = tuple(range(2 * n + 2, 3 * n + 3))
-        return cls(num_qubits, ctrl, x, y, a, 3 * n + 3, 3 * n + 4, adder)
+        a, z = tuple(range(2 * n + 2, 3 * n + 3)), 3 * n + 4
+        return cls(num_qubits, ctrl, x, y, a, 3 * n + 3, z, adder, lower(cdkm_add(a, y, z), num_qubits))
 
 
 # -- modular arithmetic on the register file ------------------------------
@@ -242,9 +229,9 @@ class Layout:
 def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
     """y += sign * value (mod 2^w), gated on ``controls``, with the layout's adder.
 
-    The Fourier adder needs y in the Fourier basis.  The ripple-carry adder
-    loads the value into the operand register under the controls; with them
-    unsatisfied the operand stays zero, so the adder is the identity.
+    The Fourier adder needs y in the Fourier basis.  The ripple-carry one runs
+    ``lay.adder_block`` between two controlled loads of the operand register;
+    with the controls unsatisfied the operand stays zero: the identity.
     """
     if lay.adder == "qft":
         sim.apply_all(phi_add_const(lay.y, value, controls, sign))
@@ -252,7 +239,7 @@ def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...
     w = len(lay.y)
     value = (value if sign > 0 else (1 << w) - value) % (1 << w)
     sim.apply_all(load_const(lay.a, value, controls))
-    sim.apply_lowered(_lowered_adder(lay))
+    sim.apply_lowered(lay.adder_block)
     sim.apply_all(load_const(lay.a, value, controls))
 
 
@@ -260,12 +247,6 @@ def _fourier(sim: Simulator, lay: Layout, transform) -> None:
     """Apply ``transform`` (qft or iqft) to y on the qft layout; cdkm's y never leaves the computational basis."""
     if lay.adder == "qft":
         sim.apply_all(transform(lay.y))
-
-
-@functools.cache
-def _lowered_adder(lay: Layout) -> Lowered:
-    """The ripple-carry adder y += a of a layout, lowered once; it does not depend on the constant."""
-    return lower(cdkm_add(lay.a, lay.y, lay.z), lay.num_qubits)
 
 
 def mod_add_const(
@@ -372,8 +353,7 @@ def _estimate_phases(
     instance: FactoringInstance | DlogInstance, modulus: int, bases: list[int], seed: int, threads: int, mbu: bool
 ) -> tuple[list[int], Simulator]:
     """Shared driver body: from |1> in the work register, one phase estimation per base, then a flush."""
-    m = instance.phase_bits
-    lay = Layout.for_instance(instance.bit_size, instance.adder)
+    m, lay = instance.phase_bits, instance.layout
     sim = Simulator(lay.num_qubits, seed=seed, threads=threads)
     sim.apply(ops.x(lay.x[0]))
     phases = [

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from . import permqueue, scheduler
 from .ir import Conditional, GateOp, Program, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
-from .state import MeasurementOutcome, PairwiseBlock, SparseState, new_wavefunction
+from .state import PairwiseBlock, SparseState, new_wavefunction
 
 
 @dataclass
@@ -79,11 +79,7 @@ class Simulator:
         self.threads = threads
         self.use_scheduler = use_scheduler
         self.stats = SimStats()
-        self.outcomes: list[MeasurementOutcome] = []
-
-    @property
-    def measurements(self) -> list[int]:
-        return [o.result for o in self.outcomes]
+        self.measurements: list[int] = []
 
     def apply(self, op: GateOp) -> None:
         validate_op(op, self.num_qubits)
@@ -111,11 +107,13 @@ class Simulator:
             self.apply_all(block.ops)
 
     def measure(self, qubits) -> int:
-        """Flush what the measurement needs, then project a joint Z product."""
-        scheduler.flush_qubits(self, tuple(qubits))
+        """Check the qubits as ``mz`` would, flush what they need, then project their joint Z product; record the outcome."""
+        qubits = tuple(qubits)
+        validate_op(GateOp("mz", qubits), self.num_qubits)
+        scheduler.flush_qubits(self, qubits)
         outcome, new_state = self.state.measure(qubits, self.rng)
         self._set_state(new_state)
-        self.outcomes.append(outcome)
+        self.measurements.append(outcome.result)
         self.stats.measurement_count += 1
         return outcome.result
 

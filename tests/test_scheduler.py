@@ -333,3 +333,18 @@ def test_apply_lowered_rejects_a_block_wider_than_the_state():
     block = lower(cdkm_add(*ADDER), ADDER_QUBITS)
     with pytest.raises(ValueError, match="beyond"):
         Simulator(ADDER_QUBITS - 2).apply_lowered(block)
+
+
+@pytest.mark.parametrize("qubits", [(7,), (0, 0), ()], ids=["out_of_range", "duplicate", "empty"])
+def test_direct_measure_checks_its_qubits(qubits):
+    # As apply(mz ...) does.  Z0*Z0 is the identity, so (0, 0) would collapse qubit 0 for nothing;
+    # () and (7,) would record a 0.
+    sim = Simulator(3)
+    sim.apply(ops.h(0))
+    sim.apply(ops.h(1))
+    assert sim.measure((2,)) == 0
+    with pytest.raises(ValueError):
+        sim.measure(qubits)
+    assert sim.measurements == [0]
+    assert sim.stats.measurement_count == 1
+    assert len(sim.dump()) == 4

@@ -177,18 +177,17 @@ def test_mbu_mode_same_function_and_doubles_state():
 
 def test_continued_fraction_exact_quarter():
     m = 9
-    assert shor.continued_fraction_order((1 << m) // 4, m, 2, 15) == 4
+    assert shor.order_from_phase((1 << m) // 4, m, 2, 15) == 4
 
 
 def test_continued_fraction_zero_phase_fails():
-    assert shor.continued_fraction_order(0, 9, 2, 15) is None
+    assert shor.order_from_phase(0, 9, 2, 15) is None
 
 
 def test_continued_fraction_returns_smallest_working_denominator():
     # 192/512 = 3/8: convergent denominators are 1, 2, 3, 8; the first with
     # 2^k = 1 (mod 15) is 8, even though the true order 4 never appears.
-    assert shor.continued_fraction_order(192, 9, 2, 15) == 8
-    # the driver-level recovery reduces such multiples back to the order
+    # The driver-level recovery reduces such multiples back to the order.
     assert shor.order_from_phase(192, 9, 2, 15) == 4
 
 
@@ -221,7 +220,7 @@ def test_order_recovery_rate_against_classical_sampler():
     draws = 1000
     for _ in range(draws):
         j = sample_phase_outcome(rng, order, m)
-        if shor.continued_fraction_order(j, m, g, n) == order:
+        if shor.order_from_phase(j, m, g, n) == order:
             hits += 1
     phi = sum(1 for k in range(1, order) if math.gcd(k, order) == 1)
     bound = 4 / math.pi**2 * phi / order
@@ -269,6 +268,42 @@ def test_factor_35_qft_seed1_fingerprint(mbu, readout, record, gates):
     assert "".join(map(str, res.measurements)) == record
     assert res.sim_stats.max_state_size == 1536
     assert res.sim_stats.gate_count == gates
+
+
+@pytest.mark.parametrize(
+    "build,run,mbu",
+    [
+        (lambda: shor.FactoringInstance.build(15, "cdkm"), shor.run_factoring, False),
+        (lambda: shor.FactoringInstance.build(15, "qft"), shor.run_factoring, True),
+        (lambda: shor.DlogInstance.build(11, base=2, exponent=7), shor.run_dlog, False),
+    ],
+    ids=["factor15-cdkm", "factor15-qft-mbu", "dlog11-cdkm"],
+)
+def test_attempts_reuse_the_instance_layout(monkeypatch, build, run, mbu):
+    # The register file and its lowered adder are built once, by the instance; attempts only read them.
+    inst = build()
+    want = run(inst, seed=3, mbu=mbu)
+
+    def rebuild(*args):
+        raise AssertionError("an attempt rebuilt the register layout")
+
+    blocks = []
+    apply_lowered = Simulator.apply_lowered
+
+    def spy(sim, block):
+        blocks.append(block)
+        apply_lowered(sim, block)
+
+    monkeypatch.setattr(shor.Layout, "for_instance", rebuild)
+    monkeypatch.setattr(Simulator, "apply_lowered", spy)
+    got = run(inst, seed=3, mbu=mbu)
+    assert got.measurements == want.measurements
+    assert got.sim_stats == want.sim_stats
+    assert got.success == want.success
+    if inst.layout.adder == "cdkm":
+        assert blocks and all(b is inst.layout.adder_block for b in blocks)
+    else:
+        assert inst.layout.adder_block is None and not blocks
 
 
 def test_factoring_n15_table_row():

@@ -133,8 +133,6 @@ def _parse_gate_tokens(tokens: list[str], num_qubits: int, line_no: int) -> Gate
         n_controls += 1
     if base not in KINDS:
         raise CircuitSyntaxError(line_no, f"unknown mnemonic {mnemonic!r}")
-    if base == "mz" and n_controls:
-        raise CircuitSyntaxError(line_no, "measurements cannot be controlled")
 
     rest = tokens[1:]
     angle = None

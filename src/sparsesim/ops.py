@@ -7,56 +7,52 @@ from collections.abc import Iterable
 from .ir import GateOp, pexp_op
 
 
-def _c(controls: Iterable[int]) -> tuple[int, ...]:
-    return tuple(controls)
-
-
 def x(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("x", (q,), _c(controls))
+    return GateOp("x", (q,), tuple(controls))
 
 
 def y(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("y", (q,), _c(controls))
+    return GateOp("y", (q,), tuple(controls))
 
 
 def z(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("z", (q,), _c(controls))
+    return GateOp("z", (q,), tuple(controls))
 
 
 def h(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("h", (q,), _c(controls))
+    return GateOp("h", (q,), tuple(controls))
 
 
 def s(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("s", (q,), _c(controls))
+    return GateOp("s", (q,), tuple(controls))
 
 
 def sdg(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("sdg", (q,), _c(controls))
+    return GateOp("sdg", (q,), tuple(controls))
 
 
 def t(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("t", (q,), _c(controls))
+    return GateOp("t", (q,), tuple(controls))
 
 
 def tdg(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("tdg", (q,), _c(controls))
+    return GateOp("tdg", (q,), tuple(controls))
 
 
 def r1(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("r1", (q,), _c(controls), theta)
+    return GateOp("r1", (q,), tuple(controls), theta)
 
 
 def rx(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("rx", (q,), _c(controls), theta)
+    return GateOp("rx", (q,), tuple(controls), theta)
 
 
 def ry(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("ry", (q,), _c(controls), theta)
+    return GateOp("ry", (q,), tuple(controls), theta)
 
 
 def rz(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("rz", (q,), _c(controls), theta)
+    return GateOp("rz", (q,), tuple(controls), theta)
 
 
 def cx(control: int, target: int) -> GateOp:
@@ -68,7 +64,7 @@ def ccx(c1: int, c2: int, target: int) -> GateOp:
 
 
 def swap(q1: int, q2: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("swap", (q1, q2), _c(controls))
+    return GateOp("swap", (q1, q2), tuple(controls))
 
 
 def pexp(theta: float, axes: str, qubits: Iterable[int], controls: Iterable[int] = ()) -> GateOp:

@@ -84,21 +84,12 @@ def bitswap_record(qubit_i: int, qubit_j: int, control_mask: int = 0) -> tuple:
 
 
 class PhasePermQueue:
-    """Ordered list of phase/permutation records awaiting execution."""
+    """Phase/permutation records awaiting execution, in order: callers append to ``records``; ``execute`` empties it."""
 
     __slots__ = ("records",)
 
     def __init__(self) -> None:
         self.records: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def enqueue(self, record: tuple) -> None:
-        self.records.append(record)
-
-    def clear(self) -> None:
-        self.records = []
 
 
 def _scale(amps: np.ndarray, sel: np.ndarray | None, phase: complex) -> None:
@@ -339,7 +330,7 @@ def execute(
     per CPU.  The result is identical either way.
     """
     records = queue.records
-    queue.clear()
+    queue.records = []
     if not records or not state.amps:
         return state
 

@@ -127,36 +127,33 @@ def flush_qubits(sim, qubits) -> None:
     for q in pending:
         sl = slots.pop(q)
         if sl.h:
-            sim._apply_pairwise(h_block(q))
+            sim._set_state(sim.state.apply_block(h_block(q)))
         if sl.rx is not None:
-            sim._apply_pairwise(rx_block(q, sl.rx))
+            sim._set_state(sim.state.apply_block(rx_block(q, sl.rx)))
         if sl.ry is not None:
-            sim._apply_pairwise(ry_block(q, sl.ry))
+            sim._set_state(sim.state.apply_block(ry_block(q, sl.ry)))
 
 
 def _merge_slot_gate(sim, op: GateOp) -> None:
+    """Merge an uncontrolled H, Rx or Ry into the slot of its qubit, which holds the pending Ry * Rx * H."""
     q = op.targets[0]
+    kind = op.kind
     sl = sim.slots.get(q)
+    # Rx cannot pass a pending Ry, nor H a pending Rx: flush the slot once, and the gate starts a new one.
+    if sl is not None and ((kind == "rx" and sl.ry is not None) or (kind == "h" and sl.rx is not None)):
+        flush_qubits(sim, [q])
+        sl = None
     if sl is None:
         sl = sim.slots[q] = QubitSlots()
-    kind = op.kind
     if kind == "ry":
         sl.ry = op.angle if sl.ry is None else sl.ry + op.angle
         if sl.ry == 0.0:
             sl.ry = None
     elif kind == "rx":
-        if sl.ry is not None:
-            flush_qubits(sim, [q])
-            _merge_slot_gate(sim, op)
-            return
         sl.rx = op.angle if sl.rx is None else sl.rx + op.angle
         if sl.rx == 0.0:
             sl.rx = None
     else:  # h
-        if sl.rx is not None:
-            flush_qubits(sim, [q])
-            _merge_slot_gate(sim, op)
-            return
         if sl.ry is not None:
             sl.ry = -sl.ry  # H * Ry(a) = Ry(-a) * H
         sl.h ^= 1  # H * H = I
@@ -183,9 +180,9 @@ def _commute_pauli(sim, op: GateOp) -> None:
                 kind = "x"
             else:
                 minus = True  # Y * H = -H * Y
-    sim.queue.enqueue(phase_perm_record(GateOp(kind, (q,))))
+    sim.queue.records.append(phase_perm_record(GateOp(kind, (q,))))
     if minus:
-        sim.queue.enqueue(permqueue.phase_record(_MINUS_ONE))
+        sim.queue.records.append(permqueue.phase_record(_MINUS_ONE))
 
 
 def dispatch(sim, op: GateOp) -> None:
@@ -218,11 +215,11 @@ def dispatch(sim, op: GateOp) -> None:
         # A pending Rx on the target commutes with controlled-X.
         if sl is not None and sl.h:
             # CX * H_t = H_t * CZ: the target bit joins the phase condition.
-            sim.queue.enqueue(permqueue.phase_record(_MINUS_ONE, qubit_mask(op.controls) | (1 << t)))
+            sim.queue.records.append(permqueue.phase_record(_MINUS_ONE, qubit_mask(op.controls) | (1 << t)))
         else:
-            sim.queue.enqueue(permqueue.flip_record(1 << t, qubit_mask(op.controls)))
+            sim.queue.records.append(permqueue.flip_record(1 << t, qubit_mask(op.controls)))
         return
 
     if slots and any(q in slots for q in op.targets):
         flush_qubits(sim, op.controls + op.targets)
-    sim.queue.enqueue(phase_perm_record(op))
+    sim.queue.records.append(phase_perm_record(op))

@@ -177,6 +177,8 @@ class DlogInstance:
             if exponent is None:
                 raise ValueError("need a target value or an exponent")
             target = pow(base, exponent, prime)
+        elif exponent is not None and pow(base, exponent, prime) != target:
+            raise ValueError(f"target {target} is not {base}^{exponent} mod {prime}")
         if not 1 <= target < prime or math.gcd(target, prime) != 1:
             raise ValueError("target must be a unit modulo the prime")
         return cls(prime, base, target, order, 2 * len(layout.x) + 1, layout)

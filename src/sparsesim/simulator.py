@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from . import permqueue, scheduler
 from .ir import Conditional, GateOp, Program, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
-from .state import PairwiseBlock, SparseState, new_wavefunction
+from .state import SparseState, new_wavefunction
 
 
 @dataclass
@@ -82,15 +82,16 @@ class Simulator:
         self.measurements: list[int] = []
 
     def apply(self, op: GateOp) -> None:
-        validate_op(op, self.num_qubits)
-        self.stats.gate_count += 1
-        if op.kind == "mz":
+        """Check, run and count one gate; an uncontrolled ``mz`` goes to ``measure``, which does its own check."""
+        if op.kind == "mz" and not op.controls:
             self.measure(op.targets)
-            return
-        if self.use_scheduler:
-            scheduler.dispatch(self, op)
         else:
-            self._apply_direct(op)
+            validate_op(op, self.num_qubits)
+            if self.use_scheduler:
+                scheduler.dispatch(self, op)
+            else:
+                self._apply_direct(op)
+        self.stats.gate_count += 1
 
     def apply_all(self, ops) -> None:
         for op in ops:
@@ -132,17 +133,14 @@ class Simulator:
         if len(state) > self.stats.max_state_size:
             self.stats.max_state_size = len(state)
 
-    def _apply_pairwise(self, block: PairwiseBlock, control_mask: int = 0) -> None:
-        self._set_state(self.state.apply_block(block, control_mask))
-
     def _apply_direct(self, op: GateOp) -> None:
         """Apply one gate immediately, bypassing slots and the queue."""
         if scheduler.is_pairwise(op):
-            self._apply_pairwise(scheduler.pairwise_block(op), qubit_mask(op.controls))
+            self._set_state(self.state.apply_block(scheduler.pairwise_block(op), qubit_mask(op.controls)))
             return
         # One-record queue: the same evaluator as a scheduled flush, without its counters.
         queue = PhasePermQueue()
-        queue.enqueue(scheduler.phase_perm_record(op))
+        queue.records.append(scheduler.phase_perm_record(op))
         self._set_state(permqueue.execute(queue, self.state))
 
 

@@ -195,7 +195,7 @@ def test_criterion_8_parallel_gating():
         state = SparseState(14, amps)
         q = PhasePermQueue()
         for _ in range(queue_len):
-            q.enqueue(flip_record(1 << rng.randrange(14)))
+            q.records.append(flip_record(1 << rng.randrange(14)))
         stats = SimStats()
         execute(q, state, thread_budget=threads, stats=stats)
         return stats.parallel_executions

@@ -24,6 +24,14 @@ def test_run_bell_prints_correlated_bits(tmp_path, capsys):
     assert len(bits) == 2 and bits[0] == bits[1]
 
 
+def test_run_show_counters_pins_bell(tmp_path, capsys):
+    path = write(tmp_path, "bell.qc", BELL)
+    assert main(["run", path, "--seed", "7", "--show-counters"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "flushes=2 absorbed=1 enqueued=1 queue_executions=1 parallel_executions=0"
+    )
+
+
 def test_run_missing_file_exits_one(capsys):
     assert main(["run", "/nonexistent/circuit.qc"]) == 1
     assert "error" in capsys.readouterr().err
@@ -109,6 +117,16 @@ def test_factor_prime_power_rejected(capsys):
 def test_dlog_prints_exponent(capsys):
     assert main(["dlog", "--prime", "11", "--base", "2", "--target", "7"]) == 0
     assert capsys.readouterr().out.strip() == "7"
+
+
+def test_dlog_conflicting_target_and_exponent_exits_two(capsys):
+    # 2^3 mod 11 = 8, not 7; the consistent pair still runs.
+    assert main(["dlog", "--prime", "11", "--base", "2", "--target", "7", "--exponent", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: target 7 is not 2^3 mod 11\n"
+    assert captured.out == ""
+    assert main(["dlog", "--prime", "11", "--base", "2", "--target", "8", "--exponent", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,11 @@ def test_missing_header():
         parse_circuit("h 0\n")
 
 
+def test_controlled_measurement_is_a_syntax_error_with_its_line():
+    with pytest.raises(CircuitSyntaxError, match="^line 2: measurements cannot be controlled$"):
+        parse_circuit("qubits 2\ncmz 0 1\n")
+
+
 def test_controlled_prefix_counts_controls():
     prog = parse_circuit("qubits 4\nccx 0 1 2\ncswap 0 1 2\ncrz pi 3 0\n")
     assert prog.ops[0] == GateOp("x", (2,), (0, 1))

@@ -36,26 +36,26 @@ def make_state(n, entries):
 
 def test_enqueue_preserves_order_and_state():
     q = PhasePermQueue()
-    q.enqueue(phase_record(-1 + 0j, 0b100))  # Z on q2
-    q.enqueue(flip_record(0b1000, 0b001))  # CNOT q0 -> q3
-    assert len(q) == 2
+    q.records.append(phase_record(-1 + 0j, 0b100))  # Z on q2
+    q.records.append(flip_record(0b1000, 0b001))  # CNOT q0 -> q3
+    assert len(q.records) == 2
     assert q.records == [phase_record(-1 + 0j, 0b100), flip_record(0b1000, 0b001)]
 
 
 def test_enqueue_empty_and_many():
     q = PhasePermQueue()
-    q.enqueue(flip_record(1))
-    assert len(q) == 1
+    q.records.append(flip_record(1))
+    assert len(q.records) == 1
     for _ in range(64):
-        q.enqueue(flip_record(1))
-    assert len(q) == 65
+        q.records.append(flip_record(1))
+    assert len(q.records) == 65
 
 
 def chain(records, label):
     """(phase, label) that executing ``records`` gives one basis label of amplitude 1."""
     q = PhasePermQueue()
     for r in records:
-        q.enqueue(r)
+        q.records.append(r)
     [(out_label, phase)] = execute(q, make_state(4, {label: 1})).dump()
     return phase, out_label
 
@@ -75,18 +75,18 @@ def test_empty_queue_is_identity():
 
 def test_execute_cnot():
     q = PhasePermQueue()
-    q.enqueue(flip_record(0b10, 0b01))  # q0 controls a flip of q1
+    q.records.append(flip_record(0b10, 0b01))  # q0 controls a flip of q1
     state = make_state(2, {0b01: 1})
     out = execute(q, state)
     assert out.dump() == [(0b11, 1 + 0j)]
-    assert len(q) == 0  # queue cleared
+    assert len(q.records) == 0  # queue cleared
 
 
 def test_execute_z_rotation_phases():
     q = PhasePermQueue()
     half = math.pi / 4
     pe = complex(math.cos(half), -math.sin(half))
-    q.enqueue(zparity_record(0b1, pe, pe.conjugate()))
+    q.records.append(zparity_record(0b1, pe, pe.conjugate()))
     state = make_state(1, {0: 0.6, 1: 0.8})
     out = execute(q, state)
     d = dict(out.dump())
@@ -151,13 +151,13 @@ def test_fusion_equivalence_queue_vs_one_by_one():
 
     q = PhasePermQueue()
     for r in recs:
-        q.enqueue(r)
+        q.records.append(r)
     fused = execute(q, state)
 
     single = state
     for r in recs:
         q1 = PhasePermQueue()
-        q1.enqueue(r)
+        q1.records.append(r)
         single = execute(q1, single)
 
     fd, sd = dict(fused.dump()), dict(single.dump())
@@ -171,7 +171,7 @@ def test_state_size_invariant_under_execute():
     state = random_state(rng, 8, 100)
     q = PhasePermQueue()
     for r in random_records(rng, 8, 200):
-        q.enqueue(r)
+        q.records.append(r)
     out = execute(q, state)
     assert len(out) == len(state)
 
@@ -185,7 +185,7 @@ def test_thread_count_independence_large_state():
     for workers in (1, 2, 4, 8):
         q = PhasePermQueue()
         for r in recs:
-            q.enqueue(r)
+            q.records.append(r)
         out = execute(q, state, thread_budget=workers)
         dumps.append(out.dump())
     for d in dumps[1:]:
@@ -228,7 +228,7 @@ def test_vector_and_fallback_paths_agree(monkeypatch, n, label_bits, size, count
     monkeypatch.setattr(permqueue, "_eval_planes", lambda *a: plane_calls.append(1) or eval_planes(*a))
     q = PhasePermQueue()
     for r in recs:
-        q.enqueue(r)
+        q.records.append(r)
     got = execute(q, state).amps
     want = eval_items(recs, list(state.amps.items()))
 
@@ -314,7 +314,7 @@ def test_parallel_gating_thresholds(queue_len, n_states, threads, expect_paralle
     state = random_state(rng, n, n_states)
     q = PhasePermQueue()
     for _ in range(queue_len):
-        q.enqueue(flip_record(1 << rng.randrange(n)))
+        q.records.append(flip_record(1 << rng.randrange(n)))
     stats = SimStats()
     execute(q, state, thread_budget=threads, stats=stats)
     assert (stats.parallel_executions == 1) is expect_parallel

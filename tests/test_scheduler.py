@@ -121,7 +121,7 @@ def test_incoming_x_through_h_becomes_z():
     sim.apply(ops.h(0))
     sim.apply(ops.x(0))
     assert slots(sim, 0).h == 1
-    assert len(sim.queue) == 1
+    assert len(sim.queue.records) == 1
     assert sim.queue.records == [phase_record(-1, 0b1)]  # Z record
 
 
@@ -143,7 +143,7 @@ def test_ccx_with_pending_rx_on_control_forces_flush():
     # the CCX sits alone in the fresh queue
     assert len(sim.state) == 2
     assert 1 not in sim.slots
-    assert len(sim.queue) == 1
+    assert len(sim.queue.records) == 1
     assert sim.queue.records == [flip_record(0b1, 0b110)]
 
 
@@ -152,7 +152,7 @@ def test_cx_passes_pending_rx_on_target():
     sim.apply(ops.rx(0.75, 0))
     sim.apply(ops.cx(1, 0))
     assert slots(sim, 0).rx == pytest.approx(0.75)  # still pending
-    assert len(sim.queue) == 1
+    assert len(sim.queue.records) == 1
     assert sim.queue.records == [flip_record(0b1, 0b10)]
     assert sim.stats.flush_count == 0
 
@@ -348,3 +348,19 @@ def test_direct_measure_checks_its_qubits(qubits):
     assert sim.measurements == [0]
     assert sim.stats.measurement_count == 1
     assert len(sim.dump()) == 4
+
+
+def test_apply_checks_each_gate_once(monkeypatch):
+    # An uncontrolled mz is checked by measure alone; a controlled one still fails the check in apply.
+    from sparsesim import simulator
+
+    calls = []
+    original = simulator.validate_op
+    monkeypatch.setattr(simulator, "validate_op", lambda op, n: calls.append(op) or original(op, n))
+    sim = Simulator(2)
+    sim.apply(ops.h(0))
+    sim.apply(ops.mz(0))
+    assert [op.kind for op in calls] == ["h", "mz"]
+    with pytest.raises(ValueError, match="measurements cannot be controlled"):
+        sim.apply(GateOp("mz", (0,), (1,)))
+    assert len(sim.measurements) == 1 and sim.stats.gate_count == 2

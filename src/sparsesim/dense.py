@@ -2,9 +2,12 @@
 
 Stores all 2^n amplitudes in a numpy vector and applies textbook matrix
 actions, with the same gate and global-phase conventions as the sparse
-path.  Measurements consume the same seeded uniform stream with the same
-outcome rule, so measurement records are directly comparable.  Capped at
-20 qubits (16 MB of amplitudes); performance is a non-goal.
+path.  Every gate acts in place on views of the vector reshaped to one
+axis per qubit (axis n-1-q for qubit q), where the controls hold 1 and the
+targets given bits; no per-gate index or mask array is built.  Measurements
+consume the same seeded uniform stream with the same outcome rule, so
+measurement records are directly comparable.  Capped at 20 qubits (16 MB of
+amplitudes).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 
 import numpy as np
 
-from .ir import Conditional, GateOp, Program, pauli_masks, qubit_mask, validate_op
+from .ir import Conditional, GateOp, Program, validate_op
 from .state import SparseState, draw_branch
 
 DENSE_MAX_QUBITS = 20
@@ -24,7 +27,6 @@ _SQRT_HALF = math.sqrt(0.5)
 
 _FIXED_1Q = {
     "h": ((_SQRT_HALF, _SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF)),
-    "x": ((0, 1), (1, 0)),
     "y": ((0, -1j), (1j, 0)),
     "z": ((1, 0), (0, -1)),
     "s": ((1, 0), (0, 1j)),
@@ -32,6 +34,9 @@ _FIXED_1Q = {
     "t": ((1, 0), (0, cmath.exp(0.25j * math.pi))),
     "tdg": ((1, 0), (0, cmath.exp(-0.25j * math.pi))),
 }
+
+# Gates that exchange two views of the control view: X its target's 0/1 views, swap the (0,1)/(1,0) views.
+_EXCHANGE = {"x": ((0,), (1,)), "swap": ((0, 1), (1, 0))}
 
 
 def _matrix_1q(op: GateOp):
@@ -51,6 +56,14 @@ def _matrix_1q(op: GateOp):
     raise ValueError(f"no single-qubit matrix for {op.kind}")
 
 
+def _where(tensor: np.ndarray, qubits, bits) -> np.ndarray:
+    """View of ``tensor`` (axis n-1-q for qubit q) where each of ``qubits`` holds its bit; no axis is dropped."""
+    index = [slice(None)] * tensor.ndim
+    for q, b in zip(qubits, bits):
+        index[tensor.ndim - 1 - q] = slice(b, b + 1)
+    return tensor[tuple(index)]
+
+
 class DenseState:
     """Array of 2^n complex amplitudes plus its own measurement stream."""
 
@@ -62,72 +75,43 @@ class DenseState:
         self.vec[0] = 1.0
         self.rng = random.Random(seed)
         self.measurements: list[int] = []
-        self._idx = np.arange(1 << num_qubits, dtype=np.int64)
-
-    def _control_sel(self, controls) -> np.ndarray:
-        if not controls:
-            return np.ones(len(self.vec), dtype=bool)
-        cmask = qubit_mask(controls)
-        return (self._idx & cmask) == cmask
-
-    def _parity(self, mask: int) -> np.ndarray:
-        return (np.bitwise_count(self._idx & np.int64(mask)) & 1).astype(bool)
 
     def apply(self, op: GateOp) -> None:
         validate_op(op, self.num_qubits)
-        kind = op.kind
-        if kind == "mz":
+        if op.kind == "mz":
             self.measure(op.targets)
             return
-        sel = self._control_sel(op.controls)
-        vec = self.vec
-        if kind in ("h", "rx", "ry", "x", "y", "z", "s", "sdg", "t", "tdg", "r1", "rz"):
+        tensor = self.vec.reshape((2,) * self.num_qubits)
+        controls, on = op.controls, (1,) * len(op.controls)
+        if op.kind in _EXCHANGE:
+            lo_bits, hi_bits = _EXCHANGE[op.kind]
+            lo = _where(tensor, controls + op.targets, on + lo_bits)
+            hi = _where(tensor, controls + op.targets, on + hi_bits)
+            lo[...], hi[...] = hi.copy(), lo.copy()
+        elif op.kind == "pexp":
+            # exp(-i t/2 P) = cos I - i sin P with P|b> = phi(b)|b ^ flip>, phi(b) = i^ny (-1)^|b & (y|z)|;
+            # phi_v holds -i sin phi(b) v[b], and the flip moves it to b ^ flip.
+            v = _where(tensor, controls, on)
+            c, s = math.cos(0.5 * op.angle), math.sin(0.5 * op.angle)
+            phi_v = ((-1j * s) * 1j ** (op.axes.count("Y") & 3)) * v
+            for q, axis in zip(op.targets, op.axes):
+                if axis != "X":
+                    odd = _where(phi_v, (q,), (1,))
+                    np.negative(odd, out=odd)
+            flip = tuple(self.num_qubits - 1 - q for q, axis in zip(op.targets, op.axes) if axis != "Z")
+            v[...] = c * v + np.flip(phi_v, flip)
+        else:
             (m00, m01), (m10, m11) = _matrix_1q(op)
-            q = op.targets[0]
-            lo = self._idx[sel & ((self._idx >> q) & 1 == 0)]
-            hi = lo | (1 << q)
-            a, b = vec[lo], vec[hi]
-            vec[lo] = m00 * a + m01 * b
-            vec[hi] = m10 * a + m11 * b
-            return
-        if kind == "swap":
-            i, j = op.targets
-            differ = sel & (((self._idx >> i) & 1) != ((self._idx >> j) & 1))
-            src = self._idx[differ] ^ ((1 << i) | (1 << j))
-            new = vec.copy()
-            new[differ] = vec[src]
-            self.vec = new
-            return
-        if kind == "pexp":
-            self._apply_pexp(op, sel)
-            return
-        raise ValueError(f"unsupported gate kind {kind!r}")
-
-    def _apply_pexp(self, op: GateOp, sel: np.ndarray) -> None:
-        x_mask, y_mask, z_mask = pauli_masks(op.targets, op.axes)
-        theta = op.angle
-        c = math.cos(0.5 * theta)
-        s = math.sin(0.5 * theta)
-        flip = x_mask | y_mask
-        if flip == 0:
-            pe = complex(c, -s)
-            po = complex(c, s)
-            odd = self._parity(z_mask)
-            phases = np.where(odd, po, pe)
-            self.vec = np.where(sel, self.vec * phases, self.vec)
-            return
-        # exp(-i t/2 P) = cos I - i sin P with P|b> = phi(b)|b ^ flip>.
-        ny = y_mask.bit_count()
-        base = 1j ** (ny & 3)
-        sign_odd = self._parity(y_mask | z_mask)
-        phi = np.where(sign_odd, -base, base)
-        partner = self._idx ^ np.int64(flip)
-        contrib = (-1j * s) * phi[partner] * self.vec[partner]
-        new = np.where(sel, c * self.vec + contrib, self.vec)
-        self.vec = new
+            a = _where(tensor, controls + op.targets, on + (0,))
+            b = _where(tensor, controls + op.targets, on + (1,))
+            a[...], b[...] = m00 * a + m01 * b, m10 * a + m11 * b
 
     def measure(self, qubits) -> int:
-        odd = self._parity(qubit_mask(qubits))
+        odd = np.zeros((2,) * self.num_qubits, dtype=bool)
+        for q in set(qubits):
+            flipped = _where(odd, (q,), (1,))
+            np.logical_not(flipped, out=flipped)
+        odd = odd.reshape(-1)
         weights = np.abs(self.vec) ** 2
         total = float(weights.sum())
         p_even = float(weights[~odd].sum())

@@ -94,6 +94,29 @@ def test_run_oracle_check_reports_deviation(tmp_path, capsys):
     assert "records_match: True" in out
 
 
+def wide_circuit(n):
+    """Every gate family on an n-qubit circuit whose top qubit is in play."""
+    top = n - 1
+    return (
+        f"qubits {n}\nh 0\nh {top}\ncx 0 5\nccx 0 {top} 10\nrx pi/3 {top - 1}\npexp 0.7 XYZ 1 {top} 7\n"
+        f"cswap 10 3 {top}\nmz 0\nif c0 == 1 x 2\nif c0 == 0 h 2\nmz {top} 2\n"
+    )
+
+
+def test_run_oracle_check_at_its_width_limit(tmp_path, capsys):
+    path = write(tmp_path, "wide.qc", wide_circuit(20))
+    assert main(["run", path, "--seed", "3", "--oracle-check"]) == 0
+    out = capsys.readouterr().out.splitlines()[-1]
+    assert out.endswith("records_match: True")
+    assert float(out.split()[2]) <= 1e-10
+
+
+def test_run_oracle_check_past_its_width_limit_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "wide.qc", wide_circuit(21))
+    assert main(["run", path, "--seed", "3", "--oracle-check"]) == 2
+    assert "oracle check limited to 20 qubits" in capsys.readouterr().err
+
+
 def test_factor_fifteen(tmp_path, capsys):
     stats = tmp_path / "s.json"
     assert main(["factor", "15", "--stats", str(stats)]) == 0

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,3 +117,67 @@ def test_conditional_programs_match_dense_oracle(prog, seed):
     res = run_program(prog, seed=seed)
     assert compare(dense, SparseState(prog.num_qubits, dict(res.dump))) <= 1e-10
     assert dense.measurements == res.measurements
+
+
+# Textbook matrices, independent of the oracle's own tables.
+PAULI = {"X": np.array([[0, 1], [1, 0]]), "Y": np.array([[0, -1j], [1j, 0]]), "Z": np.diag([1, -1])}
+FIXED = {
+    "x": PAULI["X"],
+    "y": PAULI["Y"],
+    "z": PAULI["Z"],
+    "h": np.array([[1, 1], [1, -1]]) * SQRT_HALF,
+    "s": np.diag([1, 1j]),
+    "sdg": np.diag([1, -1j]),
+    "t": np.diag([1, np.exp(0.25j * np.pi)]),
+    "tdg": np.diag([1, np.exp(-0.25j * np.pi)]),
+}
+ROTATION = {
+    "r1": lambda a: np.diag([1, np.exp(1j * a)]),
+    "rx": lambda a: np.cos(a / 2) * np.eye(2) - 1j * np.sin(a / 2) * PAULI["X"],
+    "ry": lambda a: np.cos(a / 2) * np.eye(2) - 1j * np.sin(a / 2) * PAULI["Y"],
+    "rz": lambda a: np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)]),
+}
+PEXP_AXES = ["X", "Y", "Z", "XX", "XY", "YY", "ZZ", "XZ", "YZ", "XYZ", "YYY", "ZXY"]
+
+
+def embed(factors: dict, n: int) -> np.ndarray:
+    """Kronecker product over qubits n-1..0 (qubit q is label bit q) of ``factors[q]``, identity elsewhere."""
+    m = np.eye(1)
+    for q in reversed(range(n)):
+        m = np.kron(m, factors.get(q, np.eye(2)))
+    return m
+
+
+def gate_matrix(kind, targets, controls, angle, axes, n) -> np.ndarray:
+    if kind == "swap":
+        i, j = targets
+        u = (np.eye(1 << n) + sum(embed({i: p, j: p}, n) for p in PAULI.values())) / 2
+    elif kind == "pexp":
+        string = embed({q: PAULI[a] for q, a in zip(targets, axes)}, n)
+        u = np.cos(angle / 2) * np.eye(1 << n) - 1j * np.sin(angle / 2) * string
+    else:
+        u = embed({targets[0]: FIXED[kind] if kind in FIXED else ROTATION[kind](angle)}, n)
+    on = embed({c: np.diag([0, 1]) for c in controls}, n)
+    return np.eye(1 << n) - on + on @ u
+
+
+GATE_CASES = [(k, 1, None) for k in FIXED] + [(k, 1, None) for k in ROTATION] + [("swap", 2, None)]
+GATE_CASES += [("pexp", len(axes), axes) for axes in PEXP_AXES]
+
+
+@pytest.mark.parametrize("kind,width,axes", GATE_CASES, ids=[f"pexp-{a}" if a else k for k, _, a in GATE_CASES])
+def test_every_gate_kind_matches_an_explicit_matrix(kind, width, axes):
+    rng = np.random.default_rng(sum(map(ord, kind + (axes or ""))))
+    for n in range(width, 5):
+        for n_controls in range(min(2, n - width) + 1):
+            for _ in range(3):
+                qubits = [int(q) for q in rng.permutation(n)[: width + n_controls]]
+                targets, controls = tuple(qubits[:width]), tuple(qubits[width:])
+                angle = float(rng.uniform(-3.2, 3.2)) if kind in ROTATION or kind == "pexp" else None
+                psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+                psi /= np.linalg.norm(psi)
+                dense = DenseState(n)
+                dense.vec[:] = psi
+                dense.apply(GateOp(kind, targets, controls, angle, axes or ()))
+                want = gate_matrix(kind, targets, controls, angle, axes, n) @ psi
+                assert np.abs(dense.vec - want).max() <= 1e-12, (n, targets, controls, angle)

@@ -3,8 +3,9 @@
 A ``Simulator`` subclass mirrors every gate the drivers send onto a dense
 vector over the working qubits and measures it from the same seed, so the
 paths the random-program corpus never reaches (the lowered adder's one
-``extend``, MBU's H-then-measure with its phase repair, feed-forward ``r1``
-corrections, the qft layout's basis changes, slots pending at a measurement)
+``extend``, MBU's H-then-measure with its phase repair, the cdkm coherent
+uncompute, feed-forward ``r1`` corrections, the qft layout's basis changes,
+slots pending at a measurement)
 are checked against the oracle gate by gate, not only by their answers.
 """
 
@@ -58,6 +59,7 @@ CASES = [
     pytest.param(lambda: shor.FactoringInstance.build(15, "qft"), shor.run_factoring, True, 1, 11, id="factor15-qft-mbu"),
     pytest.param(lambda: shor.DlogInstance.build(11, exponent=7, adder="qft"), shor.run_dlog, True, 1, 11, id="dlog11-qft-mbu"),
     pytest.param(lambda: shor.FactoringInstance.build(15, "cdkm"), shor.run_factoring, True, 3, 17, id="factor15-cdkm-mbu"),
+    pytest.param(lambda: shor.FactoringInstance.build(15, "cdkm"), shor.run_factoring, False, 1, 17, id="factor15-cdkm"),
 ]
 
 

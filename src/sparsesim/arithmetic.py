@@ -19,7 +19,7 @@ Reg = tuple[int, ...]
 
 
 def load_const(reg: Reg, value: int, controls: Iterable[int] = ()) -> Iterator[GateOp]:
-    """Set |0...0> register bits to a classical value (X where bits are 1)."""
+    """Set |0...0> register bits to a classical value (X where bits are 1); a negative one loads its two's complement."""
     ctl = tuple(controls)
     for i, q in enumerate(reg):
         if (value >> i) & 1:
@@ -77,20 +77,20 @@ def iqft(reg: Reg) -> Iterator[GateOp]:
         yield ops.h(reg[i])
 
 
-def phi_add_const(reg: Reg, value: int, controls: Iterable[int] = (), sign: int = 1) -> Iterator[GateOp]:
-    """Add a classical constant to a register already in the Fourier basis."""
+def phi_add_const(reg: Reg, value: int, controls: Iterable[int] = ()) -> Iterator[GateOp]:
+    """Add a classical constant to a register in the Fourier basis; a negative value's angles negate those of -value."""
     ctl = tuple(controls)
     for i, q in enumerate(reg):
-        theta = sign * 2.0 * math.pi * value / (1 << (i + 1))
+        theta = 2.0 * math.pi * value / (1 << (i + 1))
         theta = math.remainder(theta, 2.0 * math.pi)
         if theta != 0.0:
             yield ops.r1(theta, q, ctl)
 
 
-def qft_add(reg: Reg, value: int, controls: Iterable[int] = (), sign: int = 1) -> Iterator[GateOp]:
+def qft_add(reg: Reg, value: int, controls: Iterable[int] = ()) -> Iterator[GateOp]:
     """Constant addition via the Fourier basis: QFT, phase ladder, inverse QFT."""
     yield from qft(reg)
-    yield from phi_add_const(reg, value, controls, sign)
+    yield from phi_add_const(reg, value, controls)
     yield from iqft(reg)
 
 

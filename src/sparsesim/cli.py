@@ -26,7 +26,6 @@ def _write_stats(path: str | None, stats: RunStats) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="measurement stream seed")
     p.add_argument("--threads", type=int, default=1, help="worker budget for queue execution")
-    p.add_argument("--stats", metavar="FILE", help="write a stats JSON report")
 
 
 def cmd_run(args) -> int:
@@ -165,6 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dlog.add_argument("--trials", type=int, default=5)
     p_dlog.add_argument("--mbu", action="store_true")
     p_dlog.set_defaults(func=cmd_dlog)
+    for p in (p_run, p_factor, p_dlog):  # bench writes its CSV only
+        p.add_argument("--stats", metavar="FILE", help="write a stats JSON report")
 
     p_bench = sub.add_parser("bench", help="emit plot-ready benchmark data")
     p_bench.add_argument("--suite", choices=("factoring", "dlog"), required=True)

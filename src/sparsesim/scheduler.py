@@ -1,13 +1,14 @@
 """Commutation frontend: per-qubit H/Rx/Ry slots feeding the permutation queue.
 
-Each qubit carries at most one pending Ry angle, one pending Rx angle, and
-an H parity bit.  The pending operator is Ry * Rx * H, applied after the
-phase/permutation queue; a flush therefore executes the queue first, then
-H, then Rx, then Ry per qubit.  Incoming gates are rewritten through the
-slots toward the queue using a fixed table of commutation relations;
-anything without a table entry forces a flush of the touched qubits and is
-dispatched again into the empty structures.  Deferring the pairwise gates
-this way keeps the stored map small, since only they can grow it.
+Each qubit carries a pending Ry angle, a pending Rx angle (plain floats,
+0.0 for none) and an H parity bit.  The pending operator is Ry * Rx * H,
+applied after the phase/permutation queue; a flush therefore executes the
+queue first, then H, then Rx, then Ry per qubit.  Incoming gates are
+rewritten through the slots toward the queue using a fixed table of
+commutation relations; anything without a table entry forces a flush of the
+touched qubits and is dispatched again into the empty structures.  Deferring
+the pairwise gates this way keeps the stored map small, since only they can
+grow it.
 
 ``sim.slots`` holds a qubit's ``QubitSlots`` only while it has a pending
 H, Rx or Ry: a flush pops the slot and a merge that cancels (H*H,
@@ -47,8 +48,8 @@ _PHASES = {
 
 @dataclass
 class QubitSlots:
-    ry: float | None = None
-    rx: float | None = None
+    ry: float = 0.0
+    rx: float = 0.0
     h: int = 0
 
 
@@ -128,9 +129,9 @@ def flush_qubits(sim, qubits) -> None:
         sl = slots.pop(q)
         if sl.h:
             sim._set_state(sim.state.apply_block(h_block(q)))
-        if sl.rx is not None:
+        if sl.rx:
             sim._set_state(sim.state.apply_block(rx_block(q, sl.rx)))
-        if sl.ry is not None:
+        if sl.ry:
             sim._set_state(sim.state.apply_block(ry_block(q, sl.ry)))
 
 
@@ -140,24 +141,20 @@ def _merge_slot_gate(sim, op: GateOp) -> None:
     kind = op.kind
     sl = sim.slots.get(q)
     # Rx cannot pass a pending Ry, nor H a pending Rx: flush the slot once, and the gate starts a new one.
-    if sl is not None and ((kind == "rx" and sl.ry is not None) or (kind == "h" and sl.rx is not None)):
+    if sl is not None and ((kind == "rx" and sl.ry) or (kind == "h" and sl.rx)):
         flush_qubits(sim, [q])
         sl = None
     if sl is None:
         sl = sim.slots[q] = QubitSlots()
     if kind == "ry":
-        sl.ry = op.angle if sl.ry is None else sl.ry + op.angle
-        if sl.ry == 0.0:
-            sl.ry = None
+        sl.ry += op.angle
     elif kind == "rx":
-        sl.rx = op.angle if sl.rx is None else sl.rx + op.angle
-        if sl.rx == 0.0:
-            sl.rx = None
+        sl.rx += op.angle
     else:  # h
-        if sl.ry is not None:
-            sl.ry = -sl.ry  # H * Ry(a) = Ry(-a) * H
+        if sl.ry:  # H * Ry(a) = Ry(-a) * H; a bare H keeps the shared 0.0 rather than a new -0.0
+            sl.ry = -sl.ry
         sl.h ^= 1  # H * H = I
-    if sl.ry is None and sl.rx is None and not sl.h:
+    if not (sl.ry or sl.rx or sl.h):
         del sim.slots[q]
     sim.stats.gates_absorbed += 1
 
@@ -169,9 +166,9 @@ def _commute_pauli(sim, op: GateOp) -> None:
     sl = sim.slots.get(q)
     minus = False
     if sl is not None:
-        if sl.ry is not None and kind in ("x", "z"):
+        if sl.ry and kind in ("x", "z"):
             sl.ry = -sl.ry
-        if sl.rx is not None and kind in ("y", "z"):
+        if sl.rx and kind in ("y", "z"):
             sl.rx = -sl.rx
         if sl.h:
             if kind == "x":
@@ -209,7 +206,7 @@ def dispatch(sim, op: GateOp) -> None:
     if kind == "x":
         t = op.targets[0]
         sl = slots.get(t)
-        if sl is not None and sl.ry is not None:
+        if sl is not None and sl.ry:
             flush_qubits(sim, op.controls + op.targets)
             sl = None
         # A pending Rx on the target commutes with controlled-X.

@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import ops, state
 from .arithmetic import Reg, cdkm_add, cswap_regs, iqft, load_const, phi_add_const, qft
 from .scheduler import Lowered, lower
-from .simulator import RunStats, Simulator
+from .simulator import RunStats, SimStats, Simulator
 
 # -- classical number theory helpers ------------------------------------
 
@@ -78,7 +78,7 @@ def max_order_generator(n: int) -> int:
     """Smallest unit modulo n whose order equals the group exponent."""
     lam = carmichael(n)
     for g in range(2, n):
-        if math.gcd(g, n) == 1 and multiplicative_order(g, n) == lam:
+        if math.gcd(g, n) == 1 and _reduce_to_order(lam, g, n) == lam:
             return g
     raise ValueError(f"no generator of maximal order modulo {n}")
 
@@ -228,18 +228,16 @@ class Layout:
 # -- modular arithmetic on the register file ------------------------------
 
 
-def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...], sign: int = 1) -> None:
-    """y += sign * value (mod 2^w), gated on ``controls``, with the layout's adder.
+def _add_const(sim: Simulator, lay: Layout, value: int, controls: tuple[int, ...]) -> None:
+    """y += value (mod 2^w), gated on ``controls``, with the layout's adder; a negative value subtracts.
 
     The Fourier adder needs y in the Fourier basis.  The ripple-carry one runs
     ``lay.adder_block`` between two controlled loads of the operand register;
     with the controls unsatisfied the operand stays zero: the identity.
     """
     if lay.adder == "qft":
-        sim.apply_all(phi_add_const(lay.y, value, controls, sign))
+        sim.apply_all(phi_add_const(lay.y, value, controls))
         return
-    w = len(lay.y)
-    value = (value if sign > 0 else (1 << w) - value) % (1 << w)
     sim.apply_all(load_const(lay.a, value, controls))
     sim.apply_lowered(lay.adder_block)
     sim.apply_all(load_const(lay.a, value, controls))
@@ -293,7 +291,7 @@ def mod_add_const(
     else:
         # Coherent uncompute: the borrow of y_new - a reproduces the flag.
         repair = ops.x(lay.f, controls + (top,))
-    _add_const(sim, lay, a, controls, sign=-1)
+    _add_const(sim, lay, -a, controls)
     _fourier(sim, lay, iqft)
     sim.apply(ops.x(top))
     sim.apply(repair)
@@ -373,7 +371,7 @@ class FactoringResult:
     factors: tuple[int, int] | None
     stats: RunStats
     measurements: list[int]
-    sim_stats: object = None
+    sim_stats: SimStats
 
     @property
     def success(self) -> bool:
@@ -386,7 +384,7 @@ class DlogResult:
     exponent: int | None
     stats: RunStats
     measurements: list[int]
-    sim_stats: object = None
+    sim_stats: SimStats
 
     @property
     def success(self) -> bool:

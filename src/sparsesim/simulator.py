@@ -149,7 +149,7 @@ class RunResult:
     dump: list[tuple[int, complex]]
     measurements: list[int]
     stats: RunStats
-    sim_stats: SimStats = field(repr=False, default=None)
+    sim_stats: SimStats = field(repr=False)
 
 
 def run_program(

@@ -125,9 +125,20 @@ def test_qft_add_subtraction():
         for const in range(8):
             def circuit():
                 yield from ar.load_const(reg, start)
-                yield from ar.qft_add(reg, const, sign=-1)
+                yield from ar.qft_add(reg, -const)
 
             assert field(basis_run(3, circuit()), reg) == (start - const) % 8
+
+
+def test_signed_constants_are_exact():
+    # A negative constant loads its two's complement and negates every phase angle, bit for bit.
+    for w in range(1, 10):
+        reg, ctl = tuple(range(w)), (w,)
+        for v in range(1 << w):
+            assert list(ar.load_const(reg, -v, ctl)) == list(ar.load_const(reg, (2**w - v) % 2**w, ctl))
+            neg = [(op.targets, op.angle) for op in ar.phi_add_const(reg, -v, ctl)]
+            pos = [(op.targets, -op.angle) for op in ar.phi_add_const(reg, v, ctl)]
+            assert neg == pos, (w, v)
 
 
 def test_register_width_mismatch_rejected():

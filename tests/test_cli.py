@@ -226,6 +226,16 @@ def test_bench_row_counts(tmp_path, capsys):
     assert len(lines) == 1 + 6
 
 
+def test_bench_rejects_stats(tmp_path):
+    # bench writes only its CSV, so --stats is an argument error rather than a file it never writes.
+    csv, js = tmp_path / "b.csv", tmp_path / "s.json"
+    argv = ["bench", "--suite", "factoring", "--sizes", "15", "--reps", "1", "--out", str(csv), "--stats", str(js)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not js.exists()
+
+
 def test_bench_negative_reps_exits_two(tmp_path, capsys):
     out = tmp_path / "none.csv"
     assert main(["bench", "--suite", "dlog", "--sizes", "11", "--reps", "-2", "--out", str(out)]) == 2

@@ -166,7 +166,7 @@ def test_rx_merge_requires_empty_ry():
     sim.apply(ops.ry(0.2, 0))
     sim.apply(ops.rx(0.5, 0))  # must flush: Rx cannot cross pending Ry
     assert slots(sim, 0).rx == pytest.approx(0.5)
-    assert slots(sim, 0).ry is None
+    assert slots(sim, 0).ry == 0.0
     assert sim.stats.flush_count >= 1
 
 
@@ -263,7 +263,7 @@ def test_scheduler_transparency_on_random_programs():
                         sim.apply(entry.op)
                 else:
                     sim.apply(entry)
-            assert all(sl.h or sl.rx is not None or sl.ry is not None for sl in on.slots.values())
+            assert all(sl.h or sl.rx or sl.ry for sl in on.slots.values())
         d_on, d_off = dict(on.dump()), dict(off.dump())
         assert on.measurements == off.measurements
         assert set(d_on) == set(d_off)

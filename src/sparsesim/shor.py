@@ -6,8 +6,9 @@ conditioned phase correction derived from the bits already measured, a
 second H, and a measure-and-reset.  Modular addition keeps the running
 value in [0, N) with an add / compare / conditional-subtract sequence; the
 comparison flag is uncomputed either coherently (default) or by measuring
-it in the X basis and repairing the phase, which temporarily doubles the
-number of stored entries.  With the Fourier-basis adder, y is in the Fourier
+it in the X basis and repairing the phase.  The measurement applies the
+flag's H itself, so the doubled map it needs is counted in the peak but
+never stored.  With the Fourier-basis adder, y is in the Fourier
 basis inside each loop of modular additions (Beauregard's schedule) and in
 the computational basis between the loops.
 """

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from . import permqueue, scheduler
 from .ir import Conditional, GateOp, Program, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
-from .state import SparseState, new_wavefunction
+from .state import SparseState, h_block, new_wavefunction
 
 
 @dataclass
@@ -108,12 +108,20 @@ class Simulator:
             self.apply_all(block.ops)
 
     def measure(self, qubits) -> int:
-        """Check the qubits as ``mz`` would, flush what they need, then project their joint Z product; record the outcome."""
+        """Check the qubits as ``mz`` would, flush what they need, then project their joint Z product; record the outcome.
+
+        A lone qubit whose slot holds only an H keeps it out of the flush: the
+        measurement applies it, and the map it would double is counted, not stored.
+        """
         qubits = tuple(qubits)
         validate_op(GateOp("mz", qubits), self.num_qubits)
+        block = None
+        if len(qubits) == 1 and (sl := self.slots.get(qubits[0])) and not (sl.rx or sl.ry):
+            sl.h = 0  # flush_qubits still pops the emptied slot and counts one flush
+            block = h_block(qubits[0])
         scheduler.flush_qubits(self, qubits)
-        outcome, new_state = self.state.measure(qubits, self.rng)
-        self._set_state(new_state)
+        outcome, new_state = self.state.measure(qubits, self.rng, block)
+        self._set_state(new_state, outcome.size)
         self.measurements.append(outcome.result)
         self.stats.measurement_count += 1
         return outcome.result
@@ -128,10 +136,10 @@ class Simulator:
 
     # -- internals used by the scheduler ---------------------------------
 
-    def _set_state(self, state: SparseState) -> None:
+    def _set_state(self, state: SparseState, size: int = 0) -> None:
+        """Store ``state``; the peak takes the larger of its length and ``size``, a map the step counted."""
         self.state = state
-        if len(state) > self.stats.max_state_size:
-            self.stats.max_state_size = len(state)
+        self.stats.max_state_size = max(self.stats.max_state_size, size, len(state))
 
     def _apply_direct(self, op: GateOp) -> None:
         """Apply one gate immediately, bypassing slots and the queue."""

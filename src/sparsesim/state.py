@@ -6,6 +6,8 @@ with magnitude above the pruning threshold are stored.  Gates whose matrix
 couples two basis states per application (H, Rx, Ry, Pauli exponentials
 with X/Y support) are applied here in a single pass over the map; gates
 with one nonzero entry per row belong to the permutation queue instead.
+An H on the measured qubit can be applied inside ``measure``: the map it
+would double is counted, not stored.
 """
 
 from __future__ import annotations
@@ -33,11 +35,13 @@ class MeasurementOutcome:
 
     ``result`` is 0 for the even-parity (+1 eigenvalue) branch and 1 for
     the odd-parity branch; ``probability`` is the probability of the
-    branch that was observed.
+    branch that was observed; ``size`` is the length of the measured map,
+    counted rather than stored when an H was applied inside the measurement.
     """
 
     result: int
     probability: float
+    size: int
 
 
 @dataclass(frozen=True)
@@ -166,12 +170,17 @@ class SparseState:
                     out[partner] = v1
         return SparseState(self.num_qubits, out)
 
-    def measure(self, qubits: Iterable[int], rng) -> tuple[MeasurementOutcome, "SparseState"]:
+    def measure(
+        self, qubits: Iterable[int], rng, block: PairwiseBlock | None = None
+    ) -> tuple[MeasurementOutcome, "SparseState"]:
         """Joint Z-product measurement over ``qubits``; one uniform from ``rng`` picks the branch by ``draw_branch``.
 
         The surviving branch is renormalized.  Deterministic given the seed stream.
+        ``block`` (an H on the measured qubit) is applied first, bit-identically to ``apply_block``, in two passes.
         """
         mask = qubit_mask(qubits)
+        if block is not None:
+            return self._measure_after(block, mask, rng)
         p_even = 0.0
         total = 0.0
         for b, amp in self.amps.items():
@@ -186,7 +195,58 @@ class SparseState:
             for b, amp in self.amps.items()
             if ((b & mask).bit_count() & 1) == outcome
         }
-        return MeasurementOutcome(outcome, p_branch / total), SparseState(self.num_qubits, out)
+        return MeasurementOutcome(outcome, p_branch / total, len(self.amps)), SparseState(self.num_qubits, out)
+
+    def _measure_after(self, block: PairwiseBlock, m: int, rng) -> tuple[MeasurementOutcome, "SparseState"]:
+        """Pass 1 weighs and counts ``apply_block``'s outputs in ``measure``'s order; pass 2 rebuilds the drawn branch."""
+        if m.bit_count() != 1 or block != h_block(m.bit_length() - 1):
+            raise ValueError("the block applied inside a measurement must be an H on the one measured qubit")
+        a00, a01, a10, a11 = block.even
+        eps = PRUNE_EPS
+        src = self.amps
+        p_even = total = 0.0
+        size = 0
+        for b, amp in src.items():
+            if b & m:
+                other = src.get(b ^ m)
+                if other is not None:
+                    r = abs(a00 * other + a01 * amp)
+                    if r > eps:
+                        w = r**2
+                        total += w
+                        p_even += w
+                        size += 1
+                    r = abs(a10 * other + a11 * amp)
+                    if r > eps:
+                        total += r**2
+                        size += 1
+                    continue
+            elif (b | m) in src:
+                continue  # the pair is taken at its hi entry, as in apply_block
+            # A lone entry's two outputs are +-a * amp (H's a00 == a01 == a10 == -a11): one weight, twice.
+            r = abs(a00 * amp)
+            if r > eps:
+                w = r**2
+                total += w
+                p_even += w
+                total += w
+                size += 2
+        outcome, p_branch = draw_branch(rng.random(), p_even, total)
+        scale = 1.0 / math.sqrt(p_branch)
+        # The odd branch is the hi outputs, the even one the lo outputs: flip the label of the other side.
+        c0, c1, to_lo, to_hi = (a10, a11, m, 0) if outcome else (a00, a01, 0, m)
+        out: dict[int, complex] = {}
+        for b, amp in src.items():
+            if b & m:
+                other = src.get(b ^ m)
+                v = c1 * amp if other is None else c0 * other + c1 * amp
+                if abs(v) > eps:
+                    out[b ^ to_hi] = v * scale
+            elif (b | m) not in src:
+                v = c0 * amp
+                if abs(v) > eps:
+                    out[b ^ to_lo] = v * scale
+        return MeasurementOutcome(outcome, p_branch / total, size), SparseState(self.num_qubits, out)
 
 
 def new_wavefunction(num_qubits: int) -> SparseState:

@@ -257,7 +257,7 @@ def test_run_non_finite_angle_exits_one(tmp_path, capsys, text):
 def test_vanishing_branch_exits_two(tmp_path, capsys, monkeypatch, command):
     from sparsesim.state import SparseState
 
-    def vanish(self, qubits, rng):
+    def vanish(self, qubits, rng, block=None):
         raise RuntimeError("measured branch has vanishing probability")
 
     monkeypatch.setattr(SparseState, "measure", vanish)
@@ -285,9 +285,9 @@ def test_stats_max_state_size_matches_instrumented_peak():
     observed = []
     original = Simulator._set_state
 
-    def spy(self, state):
-        observed.append(len(state))
-        original(self, state)
+    def spy(self, state, size=0):
+        observed.append(max(size, len(state)))
+        original(self, state, size)
 
     Simulator._set_state = spy
     try:

@@ -10,7 +10,7 @@ from sparsesim.ir import ANGLE_KINDS, KINDS, GateOp
 from sparsesim.permqueue import flip_record, pauli_y_record, phase_record
 from sparsesim.scheduler import QubitSlots, is_pairwise, lower, pairwise_block, phase_perm_record
 from sparsesim.simulator import Simulator
-from sparsesim.state import PairwiseBlock
+from sparsesim.state import PairwiseBlock, SparseState
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -364,3 +364,41 @@ def test_apply_checks_each_gate_once(monkeypatch):
     with pytest.raises(ValueError, match="measurements cannot be controlled"):
         sim.apply(GateOp("mz", (0,), (1,)))
     assert len(sim.measurements) == 1 and sim.stats.gate_count == 2
+
+
+# Three-qubit programs: which measurements apply a pending H inside the measurement, and the
+# (max_state_size, flush_count) with the scheduler on and off.  Every figure is the one from
+# before the fusion: the doubled map is counted, not stored, and the fused flush still counts.
+FUSION_CASES = {
+    "h-only": ([ops.x(2), ops.h(0), ops.h(1), ops.cx(1, 2), ops.h(1), ops.mz(0), ops.mz(1)], [True, True], (4, 3), 8),
+    "h-rx": ([ops.h(0), ops.cx(0, 1), ops.h(0), ops.rx(0.3, 0), ops.mz(0), ops.mz(1)], [False, False], (4, 2), 4),
+    "h-ry": ([ops.h(0), ops.cx(0, 1), ops.h(0), ops.ry(0.4, 0), ops.mz(0), ops.mz(1)], [False, False], (4, 2), 4),
+    "joint": ([ops.h(0), ops.h(1), ops.cx(1, 2), ops.h(1), ops.mz(0, 1), ops.mz(2)], [False, False], (8, 2), 8),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])  # records [1, 1], [0, 1] and [0, 0]
+@pytest.mark.parametrize("name", FUSION_CASES)
+def test_measure_applies_only_a_lone_pending_h(monkeypatch, name, seed):
+    prog, fused, stats_on, peak_off = FUSION_CASES[name]
+    calls = []
+    original = SparseState.measure
+
+    def spy(self, qubits, rng, block=None):
+        calls.append(block is not None)
+        return original(self, qubits, rng, block)
+
+    monkeypatch.setattr(SparseState, "measure", spy)
+    on, off = Simulator(3, seed=seed), Simulator(3, seed=seed, use_scheduler=False)
+    on.apply_all(prog)
+    assert calls == fused
+    calls.clear()
+    off.apply_all(prog)
+    assert calls == [False] * len(fused)
+    assert on.measurements == off.measurements
+    d_on, d_off = dict(on.dump()), dict(off.dump())
+    assert set(d_on) == set(d_off)
+    for b in d_on:
+        assert d_on[b] == pytest.approx(d_off[b], abs=1e-12)
+    assert (on.stats.max_state_size, on.stats.flush_count) == stats_on
+    assert (off.stats.max_state_size, off.stats.flush_count) == (peak_off, 0)

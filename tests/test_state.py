@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparsesim import ops
 from sparsesim.simulator import Simulator
@@ -261,3 +262,117 @@ def test_norm_conserved_over_long_random_evolution():
         if step % 50 == 0:
             assert abs(state.norm_sq() - 1.0) <= 1e-6
     assert abs(state.norm_sq() - 1.0) <= 1e-6
+
+
+# -- H applied inside the measurement ------------------------------------------
+
+
+def doubled_weights(state, q):
+    """``apply_block(h_block(q))`` of ``state``, with its ``p_even`` and ``total`` summed in ``measure``'s order."""
+    doubled = state.apply_block(h_block(q))
+    p_even = total = 0.0
+    for b, a in doubled.amps.items():  # not sum(), which may compensate
+        w = abs(a) ** 2
+        total += w
+        if not b >> q & 1:
+            p_even += w
+    return doubled, p_even, total
+
+
+def fused_region(state, q, u):
+    """Check the fused H-and-measure of qubit ``q`` against ``apply_block(h_block(q))`` then ``measure``.
+
+    Both draw from the fixed uniform ``u``.  Returns the region of ``draw_branch`` that ``u`` fell in.
+    """
+    before = list(state.amps.items())
+    doubled, p_even, total = doubled_weights(state, q)
+    tiny = PRUNE_EPS**2
+    try:
+        ref, ref_post = doubled.measure([q], FixedRng(u))
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="vanishing probability"):
+            state.measure([q], FixedRng(u), h_block(q))
+        assert max(p_even, total - p_even) <= tiny
+        return "both vanish"
+    out, post = state.measure([q], FixedRng(u), h_block(q))
+    assert out == ref  # result, probability and size, under ==
+    assert out.size == len(doubled)
+    assert list(post.amps.items()) == list(ref_post.amps.items())
+    assert list(state.amps.items()) == before
+    if p_even <= tiny:
+        return "even vanishes"
+    if total - p_even <= tiny:
+        return "odd vanishes"
+    return "below" if u * total < p_even else "at" if u * total == p_even else "above"
+
+
+def boundary_u(state, q):
+    """A uniform ``u`` with ``u * total == p_even`` for the doubled map, when one lies within a few ulps of the ratio."""
+    _, p_even, total = doubled_weights(state, q)
+    if not total:
+        return 0.5
+    u = p_even / total
+    for _ in range(4):
+        if u * total == p_even:
+            break
+        u = math.nextafter(u, 2.0 if u * total < p_even else -1.0)
+    return min(max(u, 0.0), math.nextafter(1.0, 0.0))
+
+
+A = complex(0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "n,q,entries,u,region",
+    [
+        (1, 0, {0: 1 + 0j}, 0.25, "below"),
+        (1, 0, {0: 1 + 0j}, 0.5, "at"),
+        (1, 0, {0: 1 + 0j}, 0.75, "above"),
+        (2, 0, {0b10: A, 0b11: -A}, 0.0, "even vanishes"),
+        (2, 1, {0b01: A, 0b11: A}, 0.999, "odd vanishes"),
+        (128, 127, {(1 << 127) | 5: A, 5: 0.3j, 1 << 126: 0.1 + 0j}, 0.9, "above"),
+        (128, 0, {(1 << 127) | 4: A, (1 << 127) | 5: 0.2 + 0j}, 0.1, "below"),
+        (1, 0, {}, 0.5, "both vanish"),
+        (3, 2, {0: complex(1e-13), 0b101: 1e-13j}, 0.5, "both vanish"),
+    ],
+)
+def test_fused_h_measure_reaches_each_draw_region(n, q, entries, u, region):
+    assert fused_region(SparseState(n, dict(entries)), q, u) == region
+
+
+AMPS = st.builds(
+    complex, st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)
+) | st.sampled_from([complex(PRUNE_EPS), complex(1.5e-12), 1.4142e-12j, complex(1e-13)])
+
+
+@st.composite
+def h_measure_cases(draw):
+    """A map over up to 128 qubits whose labels come alone or with partners across the measured qubit ``q``."""
+    n = draw(st.integers(1, MAX_QUBITS))
+    q = draw(st.integers(0, n - 1))
+    bit = 1 << q
+    items = {}
+    for label in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10)):
+        lo, a = label & ~bit, draw(AMPS)
+        partner = draw(st.sampled_from(["lo", "hi", "free", "same", "negated"]))
+        if partner != "hi":
+            items[lo] = a
+        if partner != "lo":
+            items[lo | bit] = {"hi": a, "free": draw(AMPS), "same": a, "negated": -a}[partner]
+    state = SparseState(n, dict(draw(st.permutations(list(items.items())))))
+    u = draw(st.floats(0, 1, exclude_max=True) | st.just(None))
+    return state, q, boundary_u(state, q) if u is None else u
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(h_measure_cases())
+def test_fused_h_measure_matches_apply_block_then_measure(case):
+    fused_region(*case)
+
+
+@pytest.mark.parametrize(
+    "qubits,block", [([0], rx_block(0, 0.3)), ([0], h_block(1)), ([0, 1], h_block(0)), ([], h_block(0))]
+)
+def test_fused_measure_takes_only_an_h_on_the_one_measured_qubit(qubits, block):
+    with pytest.raises(ValueError, match="must be an H"):
+        SparseState(2, {0: 1 + 0j}).measure(qubits, FixedRng(0.5), block)

@@ -27,18 +27,6 @@ def s(q: int, controls: Iterable[int] = ()) -> GateOp:
     return GateOp("s", (q,), tuple(controls))
 
 
-def sdg(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("sdg", (q,), tuple(controls))
-
-
-def t(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("t", (q,), tuple(controls))
-
-
-def tdg(q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("tdg", (q,), tuple(controls))
-
-
 def r1(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
     return GateOp("r1", (q,), tuple(controls), theta)
 
@@ -49,10 +37,6 @@ def rx(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
 
 def ry(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
     return GateOp("ry", (q,), tuple(controls), theta)
-
-
-def rz(theta: float, q: int, controls: Iterable[int] = ()) -> GateOp:
-    return GateOp("rz", (q,), tuple(controls), theta)
 
 
 def cx(control: int, target: int) -> GateOp:

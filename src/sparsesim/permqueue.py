@@ -33,18 +33,15 @@ from .state import SparseState
 # A record is a plain tuple (kind, control_mask, mask, mask2, phase_even, phase_odd), so the
 # record loop unpacks it without a copy.  Each is a single-nonzero-entry-per-row gate:
 #   FLIP     g(b) = b ^ mask                        f = 1
-#   PHASE    g(b) = b                               f = phase_even
 #   ZPARITY  g(b) = b                               f = phase_even / phase_odd by parity(b & mask)
 #   PAULIY   g(b) = b ^ mask (single target bit)    f = phase_even if that bit is 0 else phase_odd
 #   BITSWAP  g(b) swaps the two bits in mask/mask2  f = 1
+# A plain phase is a Z-parity over no qubits (mask 0): every parity is even, so phase_odd never applies.
 # Controls gate the whole action: labels failing the control mask pass through.
 FLIP = 0
-PHASE = 1
-ZPARITY = 2
-PAULIY = 3
-BITSWAP = 4
-
-_MOVERS = (FLIP, PAULIY, BITSWAP)
+ZPARITY = 1
+PAULIY = 2
+BITSWAP = 3
 
 # Maps at least this large hold their labels as numpy columns; smaller ones as a list.
 _VECTOR_MIN_STATES = 64
@@ -67,7 +64,7 @@ def flip_record(xor_mask: int, control_mask: int = 0) -> tuple:
 
 
 def phase_record(phase: complex, control_mask: int = 0) -> tuple:
-    return (PHASE, control_mask, 0, 0, phase, 1 + 0j)
+    return (ZPARITY, control_mask, 0, 0, phase, 1 + 0j)
 
 
 def zparity_record(z_mask: int, phase_even: complex, phase_odd: complex, control_mask: int = 0) -> tuple:
@@ -212,8 +209,6 @@ def _run_planes(recs: list[tuple], planes: dict[int, int], full: int, scale) -> 
                     planes[bit] ^= cond
             else:
                 planes[mask] ^= cond
-        elif kind == PHASE:
-            scale(cond, pe)
         elif kind == ZPARITY:
             odd = 0
             for bit in _bits(mask):
@@ -233,18 +228,16 @@ def _run_planes(recs: list[tuple], planes: dict[int, int], full: int, scale) -> 
 def _eval_planes(recs: list[tuple], first: int, touched: int, words: list[np.ndarray], amps: np.ndarray) -> None:
     """Apply ``recs`` in place to one run of entries; ``words[c]`` holds bits 64c .. 64c+63 of each label.
 
-    ``recs[:first]`` are phase records before the first label-moving record
-    (FLIP, PAULIY, BITSWAP) and act on the words; the rest run on planes of
-    the rows of ``touched``, and changed byte rows go back.
+    ``recs[:first]`` are the ZPARITY records before the first label-moving
+    one and act on the words; a record with an empty mask, a plain phase,
+    skips the parity.  The rest run on planes of the rows of ``touched``,
+    and changed byte rows go back.
     """
-    n = len(amps)
-    if n == 0:
-        return
-    for kind, ctrl, mask, _, pe, po in recs[:first]:
+    for _, ctrl, mask, _, pe, po in recs[:first]:
         sel = _word_select(words, ctrl)
-        if kind == PHASE:
+        if not mask:
             _scale(amps, sel, pe)
-        else:  # ZPARITY
+        else:
             odd = _word_parity(words, mask)
             _scale(amps, ~odd if sel is None else sel & ~odd, pe)
             _scale(amps, odd if sel is None else sel & odd, po)
@@ -255,6 +248,7 @@ def _eval_planes(recs: list[tuple], first: int, touched: int, words: list[np.nda
     for row in _rows(touched):
         _to_planes(words, row, planes)
     old = planes.copy()
+    n = len(amps)
     full = (1 << n) - 1
 
     def scale(sel: int, phase: complex) -> None:
@@ -347,7 +341,7 @@ def execute(
         _eval_small(records, touched, labels, amps)
         return SparseState(state.num_qubits, dict(zip(labels, amps)))
 
-    first = next((i for i, r in enumerate(records) if r[0] in _MOVERS), len(records))
+    first = next((i for i, r in enumerate(records) if r[0] != ZPARITY), len(records))
     keys = state.amps.keys()
     words = _label_words(keys, n_states, touched)
     amps = np.fromiter(state.amps.values(), dtype=np.complex128, count=n_states)

@@ -136,9 +136,9 @@ class FactoringInstance:
 
     @classmethod
     def build(cls, modulus: int, adder: str = "cdkm", generator: int | None = None) -> "FactoringInstance":
-        layout = Layout.for_instance(modulus.bit_length(), adder)  # first: rejects an unknown adder or too many qubits
-        if modulus < 9 or modulus % 2 == 0:
+        if modulus < 9 or modulus % 2 == 0:  # before the layout, whose adder needs n >= 2
             raise ValueError("modulus must be an odd composite")
+        layout = Layout.for_instance(modulus.bit_length(), adder)  # before trial division: bad adder or too many qubits
         if is_prime_power(modulus):
             raise ValueError("modulus must have at least two distinct prime factors")
         if generator is None:
@@ -166,8 +166,10 @@ class DlogInstance:
         exponent: int | None = None,
         adder: str = "cdkm",
     ) -> "DlogInstance":
-        layout = Layout.for_instance(prime.bit_length(), adder)  # first: rejects an unknown adder or too many qubits
-        if not is_prime(prime) or prime < 3:
+        if prime < 3:  # before the layout, whose adder needs n >= 2
+            raise ValueError("modulus must be an odd prime")
+        layout = Layout.for_instance(prime.bit_length(), adder)  # before trial division: bad adder or too many qubits
+        if not is_prime(prime):
             raise ValueError("modulus must be an odd prime")
         order = prime - 1
         if base is None:

@@ -1,6 +1,6 @@
 """Scalar reference semantics of a permutation-queue pass, for differential tests."""
 
-from sparsesim.permqueue import FLIP, PAULIY, PHASE, ZPARITY
+from sparsesim.permqueue import FLIP, PAULIY, ZPARITY
 
 
 def eval_items(records, items):
@@ -12,8 +12,6 @@ def eval_items(records, items):
                 continue
             if kind == FLIP:
                 b = b ^ mask
-            elif kind == PHASE:
-                amp = amp * pe
             elif kind == ZPARITY:
                 amp = amp * (po if (b & mask).bit_count() & 1 else pe)
             elif kind == PAULIY:

@@ -50,6 +50,33 @@ def test_run_parse_error_exits_one(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("qubits 1\nrx\n", 2, "rx requires an angle"),
+        ("qubits 2\npexp 0.5\n", 2, "pexp requires a Pauli string"),
+        ("qubits 2\npexp 0.5 XQ 0 1\n", 2, "bad Pauli string 'XQ'"),
+        ("qubits 1\nx a\n", 2, "bad qubit index in 'x a'"),
+        ("qubits 2\ncx 0\n", 2, "cx is missing qubit operands"),
+        ("qubits two\n", 1, "bad qubit count 'two'"),
+        ("qubits 0\n", 1, "qubit count must be positive"),
+        ("qubits 1\nmz 0\nif c0 = 1 x 0\n", 3, "expected 'if c<k> == <0|1> <gate>'"),
+        ("qubits 1\nmz 0\nif m0 == 1 x 0\n", 3, "bad measurement reference 'm0'"),
+        ("qubits 2\nmz 0\nif c0 == 1 mz 1\n", 3, "conditional measurements are not supported"),
+        ("# a comment and nothing else\n", 1, "empty circuit: missing 'qubits N' header"),
+    ],
+    ids=[
+        "rx_no_angle", "pexp_no_string", "pexp_bad_letter", "bad_qubit_index", "missing_operand",
+        "bad_qubit_count", "zero_qubits", "if_single_equals", "if_bad_reference", "if_mz", "comment_only",
+    ],
+)
+def test_run_syntax_errors_exit_one_with_their_line(tmp_path, capsys, text, line, message):
+    assert main(["run", write(tmp_path, "bad.qc", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {line}: {message}\n"
+    assert captured.out == ""
+
+
 def test_run_stats_schema_and_determinism(tmp_path, capsys):
     path = write(tmp_path, "bell.qc", BELL)
     stats_a = tmp_path / "a.json"
@@ -135,6 +162,43 @@ def test_factor_qft_adder_uses_smaller_register_file(tmp_path):
 def test_factor_prime_power_rejected(capsys):
     assert main(["factor", "9"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["factor", "0"], "modulus must be an odd composite"),
+        (["factor", "1"], "modulus must be an odd composite"),
+        (["factor", "-1"], "modulus must be an odd composite"),
+        (["dlog", "--prime", "0", "--exponent", "1"], "modulus must be an odd prime"),
+        (["dlog", "--prime", "1", "--exponent", "1"], "modulus must be an odd prime"),
+    ],
+    ids=["factor_0", "factor_1", "factor_minus_1", "dlog_0", "dlog_1"],
+)
+def test_tiny_modulus_exits_two_with_its_own_message(capsys, argv, message):
+    # Checked before the register layout, whose one-bit adder would fail with a qubit-range error.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench", "--suite", "factoring", "--sizes", "15,x", "--reps", "1", "--out", "x.csv"], "bad --sizes '15,x'"),
+        (["dlog", "--prime", "11"], "need a target value or an exponent"),
+        (["dlog", "--prime", "11", "--target", "11"], "target must be a unit modulo the prime"),
+    ],
+    ids=["bench_bad_sizes", "dlog_no_target", "dlog_target_not_unit"],
+)
+def test_rejected_arguments_exit_two(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_dlog_prints_exponent(capsys):

@@ -246,11 +246,14 @@ _WIDTHS = (10, 62, 63, 65, 128)
 @st.composite
 def _record(draw, width):
     qubit = st.integers(0, width - 1)
-    kind = draw(st.sampled_from((permqueue.FLIP, permqueue.PHASE, permqueue.ZPARITY, permqueue.PAULIY, permqueue.BITSWAP)))
+    kind = draw(st.sampled_from(("phase", permqueue.FLIP, permqueue.ZPARITY, permqueue.PAULIY, permqueue.BITSWAP)))
     if kind == permqueue.BITSWAP:
         targets = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
-    elif kind in (permqueue.FLIP, permqueue.ZPARITY):
+    elif kind == permqueue.FLIP:
         targets = draw(st.lists(qubit, min_size=1, max_size=4, unique=True))
+    elif kind == permqueue.ZPARITY:
+        # An empty mask is the form of every phase record: its phase_odd must never apply.
+        targets = draw(st.lists(qubit, max_size=4, unique=True))
     else:
         targets = [draw(qubit)]
     ctrl = 0
@@ -261,10 +264,10 @@ def _record(draw, width):
     phase = cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
     if kind == permqueue.FLIP:
         return flip_record(mask, ctrl)
-    if kind == permqueue.PHASE:
+    if kind == "phase":
         return phase_record(phase, ctrl | mask)
     if kind == permqueue.ZPARITY:
-        return zparity_record(mask, phase, phase.conjugate(), ctrl)
+        return zparity_record(mask, phase, cmath.exp(1j * draw(st.floats(-math.pi, math.pi))), ctrl)
     if kind == permqueue.PAULIY:
         return pauli_y_record(targets[0], ctrl)
     return bitswap_record(targets[0], targets[1], ctrl)
@@ -426,7 +429,7 @@ def test_queue_records_are_plain_six_tuples():
     sim.apply_lowered(block)
     records = sim.queue.records
     assert len(records) == 4 + len(block.records)
-    assert {r[0] for r in records} == {permqueue.FLIP, permqueue.PHASE, permqueue.PAULIY}
+    assert {r[0] for r in records} == {permqueue.FLIP, permqueue.ZPARITY, permqueue.PAULIY}
     assert all(type(r) is tuple and len(r) == 6 for r in records)
 
 

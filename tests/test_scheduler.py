@@ -366,6 +366,27 @@ def test_apply_checks_each_gate_once(monkeypatch):
     assert len(sim.measurements) == 1 and sim.stats.gate_count == 2
 
 
+@pytest.mark.parametrize(
+    "op,message",
+    [
+        (GateOp("frobnicate", (0,)), "unknown gate kind 'frobnicate'"),
+        (GateOp("swap", (0,)), "swap takes exactly two targets"),
+        (GateOp("pexp", (0,), (), 0.5), "empty Pauli string"),
+        (GateOp("pexp", (0, 1), (), 0.5, ("X",)), "Pauli axis count must match target count"),
+        (GateOp("h", (0, 1)), "h takes exactly one target"),
+    ],
+    ids=["unknown_kind", "one_target_swap", "pexp_no_axes", "axis_count_mismatch", "two_target_h"],
+)
+@pytest.mark.parametrize("use_scheduler", [True, False], ids=["queue", "no_queue"])
+def test_apply_rejects_malformed_ops(op, message, use_scheduler):
+    # Hand-built ops skip the parser, so apply's own check is all that stands between them and the state.
+    sim = Simulator(2, use_scheduler=use_scheduler)
+    with pytest.raises(ValueError, match=message):
+        sim.apply(op)
+    assert sim.stats.gate_count == 0
+    assert sim.dump() == [(0, 1 + 0j)]
+
+
 # Three-qubit programs: which measurements apply a pending H inside the measurement, and the
 # (max_state_size, flush_count) with the scheduler on and off.  Every figure is the one from
 # before the fusion: the doubled map is counted, not stored, and the fused flush still counts.

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 from . import permqueue, scheduler
 from .ir import Conditional, GateOp, Program, qubit_mask, validate_op
 from .permqueue import PhasePermQueue
-from .state import SparseState, h_block, new_wavefunction
+from .state import SparseState, new_wavefunction
 
 
 @dataclass
@@ -115,12 +115,11 @@ class Simulator:
         """
         qubits = tuple(qubits)
         validate_op(GateOp("mz", qubits), self.num_qubits)
-        block = None
-        if len(qubits) == 1 and (sl := self.slots.get(qubits[0])) and not (sl.rx or sl.ry):
+        h = len(qubits) == 1 and (sl := self.slots.get(qubits[0])) is not None and not (sl.rx or sl.ry)
+        if h:
             sl.h = 0  # flush_qubits still pops the emptied slot and counts one flush
-            block = h_block(qubits[0])
         scheduler.flush_qubits(self, qubits)
-        outcome, new_state = self.state.measure(qubits, self.rng, block)
+        outcome, new_state = self.state.measure(qubits, self.rng, h)
         self._set_state(new_state, outcome.size)
         self.measurements.append(outcome.result)
         self.stats.measurement_count += 1

@@ -6,8 +6,9 @@ with magnitude above the pruning threshold are stored.  Gates whose matrix
 couples two basis states per application (H, Rx, Ry, Pauli exponentials
 with X/Y support) are applied here in a single pass over the map; gates
 with one nonzero entry per row belong to the permutation queue instead.
-An H on the measured qubit can be applied inside ``measure``: the map it
-would double is counted, not stored.
+``measure(qubits, rng, h=True)`` first applies an H to its one measured
+qubit: the map the H would double is counted, not stored, and the outcome's
+``size`` is that doubled length (the stored map's length otherwise).
 """
 
 from __future__ import annotations
@@ -170,82 +171,72 @@ class SparseState:
                     out[partner] = v1
         return SparseState(self.num_qubits, out)
 
-    def measure(
-        self, qubits: Iterable[int], rng, block: PairwiseBlock | None = None
-    ) -> tuple[MeasurementOutcome, "SparseState"]:
+    def measure(self, qubits: Iterable[int], rng, h: bool = False) -> tuple[MeasurementOutcome, "SparseState"]:
         """Joint Z-product measurement over ``qubits``; one uniform from ``rng`` picks the branch by ``draw_branch``.
 
-        The surviving branch is renormalized.  Deterministic given the seed stream.
-        ``block`` (an H on the measured qubit) is applied first, bit-identically to ``apply_block``, in two passes.
+        The surviving branch is renormalized.  Deterministic given the seed stream.  With ``h``, an H on the one
+        measured qubit is applied first, bit-identically to ``apply_block(h_block(q))``, and the map it doubles is
+        counted, not stored: pass 1 weighs and counts H's outputs in the order a plain measurement of the doubled
+        map adds them, pass 2 builds only the drawn branch.  The outcome's ``size`` is the measured map's length.
         """
-        mask = qubit_mask(qubits)
-        if block is not None:
-            return self._measure_after(block, mask, rng)
-        p_even = 0.0
-        total = 0.0
-        for b, amp in self.amps.items():
-            w = abs(amp) ** 2
-            total += w
-            if not (b & mask).bit_count() & 1:
-                p_even += w
-        outcome, p_branch = draw_branch(rng.random(), p_even, total)
-        scale = 1.0 / math.sqrt(p_branch)
-        out = {
-            b: amp * scale
-            for b, amp in self.amps.items()
-            if ((b & mask).bit_count() & 1) == outcome
-        }
-        return MeasurementOutcome(outcome, p_branch / total, len(self.amps)), SparseState(self.num_qubits, out)
-
-    def _measure_after(self, block: PairwiseBlock, m: int, rng) -> tuple[MeasurementOutcome, "SparseState"]:
-        """Pass 1 weighs and counts ``apply_block``'s outputs in ``measure``'s order; pass 2 rebuilds the drawn branch."""
-        if m.bit_count() != 1 or block != h_block(m.bit_length() - 1):
-            raise ValueError("the block applied inside a measurement must be an H on the one measured qubit")
-        a00, a01, a10, a11 = block.even
+        m = qubit_mask(qubits)
+        if h and m.bit_count() != 1:
+            raise ValueError("an H applied inside a measurement needs exactly one measured qubit")
+        a = _SQRT_HALF  # H's coefficients are (a, a, a, -a), as in h_block
         eps = PRUNE_EPS
         src = self.amps
         p_even = total = 0.0
-        size = 0
-        for b, amp in src.items():
-            if b & m:
-                other = src.get(b ^ m)
-                if other is not None:
-                    r = abs(a00 * other + a01 * amp)
-                    if r > eps:
-                        w = r**2
-                        total += w
-                        p_even += w
-                        size += 1
-                    r = abs(a10 * other + a11 * amp)
-                    if r > eps:
-                        total += r**2
-                        size += 1
-                    continue
-            elif (b | m) in src:
-                continue  # the pair is taken at its hi entry, as in apply_block
-            # A lone entry's two outputs are +-a * amp (H's a00 == a01 == a10 == -a11): one weight, twice.
-            r = abs(a00 * amp)
-            if r > eps:
-                w = r**2
+        size = 0 if h else len(src)
+        if not h:
+            for b, amp in src.items():
+                w = abs(amp) ** 2
                 total += w
-                p_even += w
-                total += w
-                size += 2
+                if not (b & m).bit_count() & 1:
+                    p_even += w
+        else:
+            for b, amp in src.items():
+                if b & m:
+                    other = src.get(b ^ m)
+                    if other is not None:
+                        r = abs(a * other + a * amp)
+                        if r > eps:
+                            w = r**2
+                            total += w
+                            p_even += w
+                            size += 1
+                        r = abs(a * other + -a * amp)
+                        if r > eps:
+                            total += r**2
+                            size += 1
+                        continue
+                elif (b | m) in src:
+                    continue  # the pair is taken at its hi entry, as in apply_block
+                # A lone entry's two outputs are +-a * amp: one weight, twice.
+                r = abs(a * amp)
+                if r > eps:
+                    w = r**2
+                    total += w
+                    p_even += w
+                    total += w
+                    size += 2
         outcome, p_branch = draw_branch(rng.random(), p_even, total)
         scale = 1.0 / math.sqrt(p_branch)
-        # The odd branch is the hi outputs, the even one the lo outputs: flip the label of the other side.
-        c0, c1, to_lo, to_hi = (a10, a11, m, 0) if outcome else (a00, a01, 0, m)
-        out: dict[int, complex] = {}
-        for b, amp in src.items():
-            if b & m:
-                other = src.get(b ^ m)
-                v = c1 * amp if other is None else c0 * other + c1 * amp
-                if abs(v) > eps:
-                    out[b ^ to_hi] = v * scale
-            elif (b | m) not in src:
-                v = c0 * amp
-                if abs(v) > eps:
-                    out[b ^ to_lo] = v * scale
+        if not h:
+            out = {b: amp * scale for b, amp in src.items() if ((b & m).bit_count() & 1) == outcome}
+        else:
+            # The odd branch is the hi outputs, the even one the lo outputs: flip the label of the other side.
+            c1, to_lo, to_hi = (-a, m, 0) if outcome else (a, 0, m)
+            out = {}
+            for b, amp in src.items():
+                if b & m:
+                    other = src.get(b ^ m)
+                    v = c1 * amp if other is None else a * other + c1 * amp
+                    if abs(v) > eps:
+                        out[b ^ to_hi] = v * scale
+                elif (b | m) not in src:
+                    v = a * amp
+                    if abs(v) > eps:
+                        out[b ^ to_lo] = v * scale
         return MeasurementOutcome(outcome, p_branch / total, size), SparseState(self.num_qubits, out)
 
 

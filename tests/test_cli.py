@@ -77,6 +77,16 @@ def test_run_syntax_errors_exit_one_with_their_line(tmp_path, capsys, text, line
     assert captured.out == ""
 
 
+def test_run_wider_than_128_qubits_exits_two(tmp_path, capsys):
+    # The header parses; the state's 128-qubit label cap rejects it, as it does an oversized instance.
+    assert main(["run", write(tmp_path, "wide.qc", "qubits 129\nh 0\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: num_qubits must be in [1, 128], got 129\n"
+    assert captured.out == ""
+    assert main(["run", write(tmp_path, "edge.qc", "qubits 128\nx 127\nmz 127\n")]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_run_stats_schema_and_determinism(tmp_path, capsys):
     path = write(tmp_path, "bell.qc", BELL)
     stats_a = tmp_path / "a.json"
@@ -321,7 +331,7 @@ def test_run_non_finite_angle_exits_one(tmp_path, capsys, text):
 def test_vanishing_branch_exits_two(tmp_path, capsys, monkeypatch, command):
     from sparsesim.state import SparseState
 
-    def vanish(self, qubits, rng, block=None):
+    def vanish(self, qubits, rng, h=False):
         raise RuntimeError("measured branch has vanishing probability")
 
     monkeypatch.setattr(SparseState, "measure", vanish)

@@ -405,9 +405,9 @@ def test_measure_applies_only_a_lone_pending_h(monkeypatch, name, seed):
     calls = []
     original = SparseState.measure
 
-    def spy(self, qubits, rng, block=None):
-        calls.append(block is not None)
-        return original(self, qubits, rng, block)
+    def spy(self, qubits, rng, h=False):
+        calls.append(h)
+        return original(self, qubits, rng, h)
 
     monkeypatch.setattr(SparseState, "measure", spy)
     on, off = Simulator(3, seed=seed), Simulator(3, seed=seed, use_scheduler=False)

@@ -291,10 +291,10 @@ def fused_region(state, q, u):
         ref, ref_post = doubled.measure([q], FixedRng(u))
     except RuntimeError:
         with pytest.raises(RuntimeError, match="vanishing probability"):
-            state.measure([q], FixedRng(u), h_block(q))
+            state.measure([q], FixedRng(u), h=True)
         assert max(p_even, total - p_even) <= tiny
         return "both vanish"
-    out, post = state.measure([q], FixedRng(u), h_block(q))
+    out, post = state.measure([q], FixedRng(u), h=True)
     assert out == ref  # result, probability and size, under ==
     assert out.size == len(doubled)
     assert list(post.amps.items()) == list(ref_post.amps.items())
@@ -370,9 +370,7 @@ def test_fused_h_measure_matches_apply_block_then_measure(case):
     fused_region(*case)
 
 
-@pytest.mark.parametrize(
-    "qubits,block", [([0], rx_block(0, 0.3)), ([0], h_block(1)), ([0, 1], h_block(0)), ([], h_block(0))]
-)
-def test_fused_measure_takes_only_an_h_on_the_one_measured_qubit(qubits, block):
-    with pytest.raises(ValueError, match="must be an H"):
-        SparseState(2, {0: 1 + 0j}).measure(qubits, FixedRng(0.5), block)
+@pytest.mark.parametrize("qubits", [[0, 1], []], ids=["two", "none"])
+def test_fused_measure_needs_one_measured_qubit(qubits):
+    with pytest.raises(ValueError, match="exactly one measured qubit"):
+        SparseState(2, {0: 1 + 0j}).measure(qubits, FixedRng(0.5), h=True)
